@@ -5,45 +5,10 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 
 	"procgroup/internal/ids"
 	"procgroup/internal/member"
 )
-
-// timerNode is a fakeNode whose After timers are captured and fired by
-// the test — the clock the coalescing windows run on.
-type timerNode struct {
-	fakeNode
-	timers []*fakeTimer
-}
-
-type fakeTimer struct {
-	d    time.Duration
-	fn   func()
-	dead bool
-}
-
-func (n *timerNode) After(d time.Duration, fn func()) func() {
-	t := &fakeTimer{d: d, fn: fn}
-	n.timers = append(n.timers, t)
-	return func() { t.dead = true }
-}
-
-// fire runs every pending timer once (timers armed during firing wait for
-// the next call) and reports how many ran.
-func (n *timerNode) fire() int {
-	pending := n.timers
-	n.timers = nil
-	ran := 0
-	for _, t := range pending {
-		if !t.dead {
-			t.fn()
-			ran++
-		}
-	}
-	return ran
-}
 
 // syncAsMember drives b (a non-sequencer) through install + ViewSync so
 // the view's order is open. Returns the sequencer's id.
@@ -65,53 +30,48 @@ func countAcks(sent []fakeSend) (acks int, last uint64) {
 	return
 }
 
-// TestAckCoalescing pins the ack-storm fix: with AckConfig{Every: B,
-// Delay: T}, a member sends at most one cumulative AckSeq per window of B
-// delivered entries, and the delay timer flushes a partial window — never
-// more than one ack per (B entries | T) window.
+// TestAckCoalescing pins ack coalescing at burst granularity: with
+// AckConfig{Every: B}, deliveries under the count cap are acked once, by
+// one cumulative AckSeq at the end of the event-loop burst that delivered
+// them; a burst that fills the window sends the cap ack inside the burst
+// and nothing more at its end.
 func TestAckCoalescing(t *testing.T) {
-	fn := &timerNode{fakeNode: fakeNode{id: proc("p2")}}
-	b := New(fn, Config{Ack: AckConfig{Every: 4, Delay: 5 * time.Millisecond}})
+	fn := &fakeNode{id: proc("p2")}
+	b := New(fn, Config{Ack: AckConfig{Every: 16}})
 	seq := syncAsMember(b, fn, 0)
 	px := proc("p9")
 
-	// Three deliveries: under the count cap, all suppressed behind the timer.
+	// One burst of three deliveries: under the cap, nothing is acked
+	// while the burst dispatches, and the flush is armed exactly once.
 	for i := uint64(1); i <= 3; i++ {
 		b.HandleApp(seq, Seqd(entry(0, i, px, i)))
 	}
 	if acks, _ := countAcks(fn.takeSent()); acks != 0 {
-		t.Fatalf("sent %d acks inside a 3-entry window, want 0 (coalesced)", acks)
+		t.Fatalf("sent %d acks inside the burst, want 0 (coalesced)", acks)
 	}
 	if got := b.stats.AcksSuppressed.Load(); got != 3 {
 		t.Fatalf("AcksSuppressed = %d, want 3", got)
 	}
-
-	// The 4th delivery completes the window: exactly one cumulative ack.
-	b.HandleApp(seq, Seqd(entry(0, 4, px, 4)))
-	if acks, last := countAcks(fn.takeSent()); acks != 1 || last != 4 {
-		t.Fatalf("window of 4 sent %d acks (last seq %d), want exactly 1 covering 4", acks, last)
+	if len(fn.runq) != 1 {
+		t.Fatalf("burst armed %d end-of-burst flushes, want 1", len(fn.runq))
+	}
+	// The end of the burst sends exactly one cumulative ack.
+	fn.endBurst()
+	if acks, last := countAcks(fn.takeSent()); acks != 1 || last != 3 {
+		t.Fatalf("end of burst sent %d acks (last seq %d), want exactly 1 covering 3", acks, last)
 	}
 
-	// The completed window's timer was cancelled: firing it sends nothing.
-	fn.fire()
-	if acks, _ := countAcks(fn.takeSent()); acks != 0 {
-		t.Fatalf("cancelled ack timer still sent %d acks", acks)
+	// A burst of 16 fills the window: the cap ack leaves inside the burst,
+	// and the end of the burst has nothing left to ack.
+	for i := uint64(4); i < 20; i++ {
+		b.HandleApp(seq, Seqd(entry(0, i, px, i)))
 	}
-
-	// A partial window flushes on the timer — one ack, cumulative.
-	b.HandleApp(seq, Seqd(entry(0, 5, px, 5)))
-	b.HandleApp(seq, Seqd(entry(0, 6, px, 6)))
-	if acks, _ := countAcks(fn.takeSent()); acks != 0 {
-		t.Fatal("partial window acked before its timer")
+	if acks, last := countAcks(fn.takeSent()); acks != 1 || last != 19 {
+		t.Fatalf("16-entry burst sent %d acks (last seq %d), want exactly 1 covering 19", acks, last)
 	}
-	fn.fire()
-	if acks, last := countAcks(fn.takeSent()); acks != 1 || last != 6 {
-		t.Fatalf("timer flush sent %d acks (last seq %d), want exactly 1 covering 6", acks, last)
-	}
-	// An empty window's timer sends nothing.
-	fn.fire()
+	fn.endBurst()
 	if acks, _ := countAcks(fn.takeSent()); acks != 0 {
-		t.Fatal("ack sent with nothing pending")
+		t.Fatalf("end of a capped burst sent %d more acks, want 0", acks)
 	}
 }
 
@@ -130,14 +90,16 @@ func pubBatches(sent []fakeSend) []PubBatch {
 // an idle origin ships a proposal immediately (no batching latency on a
 // quiet group), proposals arriving while a batch is in flight accumulate
 // and leave as ONE PubBatch when the pipeline drains, the entry cap
-// flushes early, and the timer is only a fallback — never individual Pubs.
+// flushes early, and a non-sequencer arms no end-of-burst flush — its
+// stragglers leave with the next pipeline drain, never as individual Pubs.
 func TestGroupCommitOriginBatching(t *testing.T) {
-	fn := &timerNode{fakeNode: fakeNode{id: proc("p2")}}
-	b := New(fn, Config{Batch: BatchConfig{MaxEntries: 4, MaxDelay: time.Millisecond}})
+	fn := &fakeNode{id: proc("p2")}
+	b := New(fn, Config{Batch: BatchConfig{MaxEntries: 4}})
 	seq := syncAsMember(b, fn, 0)
 
 	// Idle pipeline: the first proposal leaves at once, a batch of one.
 	b.Propose([]byte{0}, nil)
+	fn.endBurst()
 	sent := fn.takeSent()
 	if len(sent) != 1 {
 		t.Fatalf("idle-pipeline proposal sent %d frames, want 1 PubBatch", len(sent))
@@ -150,10 +112,12 @@ func TestGroupCommitOriginBatching(t *testing.T) {
 		t.Fatalf("idle-pipeline PubBatch = %+v, want pub 1 from self", pb)
 	}
 
-	// While that batch is in flight, new proposals accumulate silently.
+	// While that batch is in flight, new proposals accumulate silently,
+	// through the end of their burst.
 	for i := 1; i < 4; i++ {
 		b.Propose([]byte{byte(i)}, nil)
 	}
+	fn.endBurst()
 	if got := pubBatches(fn.takeSent()); len(got) != 0 {
 		t.Fatalf("proposals escaped a busy pipeline: %v", got)
 	}
@@ -179,21 +143,32 @@ func TestGroupCommitOriginBatching(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		b.Propose([]byte{byte(i)}, nil)
 	}
+	fn.endBurst()
 	got = pubBatches(fn.takeSent())
 	if len(got) != 1 || len(got[0].Pubs) != 4 {
 		t.Fatalf("cap-triggered flush = %v, want one PubBatch of 4", got)
 	}
 
-	// A sub-cap straggler behind a busy pipeline waits for the fallback
-	// timer — and leaves as a batch, not a Pub.
+	// A sub-cap straggler behind a busy pipeline outlives its burst: a
+	// non-sequencer arms no flush, it waits for the pipeline.
 	b.Propose([]byte{9}, nil)
+	fn.endBurst()
 	if got := pubBatches(fn.takeSent()); len(got) != 0 {
-		t.Fatalf("straggler escaped before the fallback timer: %v", got)
+		t.Fatalf("straggler escaped a busy pipeline: %v", got)
 	}
-	fn.fire() // MaxDelay
+	if len(fn.runq) != 0 {
+		t.Fatalf("non-sequencer armed %d end-of-burst flushes", len(fn.runq))
+	}
+	// The seven in-flight pubs coming home drain the pipeline, and the
+	// straggler leaves as a batch, not a Pub.
+	var home []SeqdItem
+	for id := uint64(2); id <= 8; id++ {
+		home = append(home, SeqdItem{Origin: b.self, PubID: id, Body: []byte{0}})
+	}
+	b.HandleApp(seq, SeqdBatch{Ver: 0, FirstSeq: 2, Entries: home})
 	got = pubBatches(fn.takeSent())
-	if len(got) != 1 || len(got[0].Pubs) != 1 {
-		t.Fatalf("timer flush = %v, want one PubBatch of 1", got)
+	if len(got) != 1 || len(got[0].Pubs) != 1 || got[0].Pubs[0].PubID != 9 {
+		t.Fatalf("pipeline drain = %v, want one PubBatch carrying pub 9", got)
 	}
 	if stats := b.stats.PubBatches.Load(); stats != 4 {
 		t.Fatalf("PubBatches = %d, want 4", stats)
@@ -216,11 +191,13 @@ func syncAsSequencer(t *testing.T, b *Broadcaster, n interface{ takeSent() []fak
 
 // TestGroupCommitSequencerRangesAndPiggyback: the sequencer assigns one
 // contiguous slot range per incoming batch, fans it out as a single
-// SeqdBatch, and carries the stability frontier on the next batch instead
-// of a separate Stable broadcast (with the timer as liveness fallback).
+// SeqdBatch, and carries a stability frontier that advanced in the burst
+// on the burst's next SeqdBatch; only a frontier no batch carried is
+// broadcast alone, at the end of the burst. Its own proposals leave at the
+// end of their burst as one range.
 func TestGroupCommitSequencerRangesAndPiggyback(t *testing.T) {
-	fn := &timerNode{fakeNode: fakeNode{id: proc("p1")}}
-	b := New(fn, Config{Batch: BatchConfig{MaxEntries: 8, MaxDelay: time.Millisecond}})
+	fn := &fakeNode{id: proc("p1")}
+	b := New(fn, Config{Batch: BatchConfig{MaxEntries: 8}})
 	p2 := proc("p2")
 	syncAsSequencer(t, b, fn, 0, p2)
 
@@ -236,7 +213,7 @@ func TestGroupCommitSequencerRangesAndPiggyback(t *testing.T) {
 	}
 
 	// p2 acks the range; the frontier advances but no Stable frame goes
-	// out — it is marked for piggyback on the next SeqdBatch.
+	// out — it is marked for piggyback on the burst's next SeqdBatch.
 	b.HandleApp(p2, AckSeq{Ver: 0, Seq: 3})
 	if sent := fn.takeSent(); len(sent) != 0 {
 		t.Fatalf("frontier advance broadcast %v immediately; batching must piggyback", sent)
@@ -245,6 +222,7 @@ func TestGroupCommitSequencerRangesAndPiggyback(t *testing.T) {
 		t.Fatalf("sequencer stable = %d, want 3", b.stable)
 	}
 
+	// Later in the same burst, the next batch carries it.
 	b.HandleApp(p2, PubBatch{Origin: p2, Pubs: []PubItem{{PubID: 4, Body: []byte("d")}}})
 	sent = fn.takeSent()
 	if len(sent) != 1 {
@@ -257,20 +235,42 @@ func TestGroupCommitSequencerRangesAndPiggyback(t *testing.T) {
 	if got := b.stats.StablePiggybacked.Load(); got != 1 {
 		t.Fatalf("StablePiggybacked = %d, want 1", got)
 	}
+	fn.endBurst()
+	if sent := fn.takeSent(); len(sent) != 0 {
+		t.Fatalf("end of burst re-sent a carried frontier: %v", sent)
+	}
 
-	// With no follow-up batch, the fallback timer broadcasts Stable alone.
+	// A burst whose frontier no batch carries broadcasts Stable alone at
+	// its end, and not before.
 	b.HandleApp(p2, AckSeq{Ver: 0, Seq: 4})
 	if sent := fn.takeSent(); len(sent) != 0 {
-		t.Fatal("stable broadcast before the fallback timer")
+		t.Fatal("stable broadcast before the end of the burst")
 	}
-	fn.fire()
+	fn.endBurst()
 	sent = fn.takeSent()
 	if len(sent) != 1 {
-		t.Fatalf("fallback fired %d frames, want 1 Stable", len(sent))
+		t.Fatalf("end of burst sent %d frames, want 1 Stable", len(sent))
 	}
 	if st := sent[0].payload.(Stable); st.Seq != 4 {
-		t.Fatalf("fallback Stable.Seq = %d, want 4", st.Seq)
+		t.Fatalf("end-of-burst Stable.Seq = %d, want 4", st.Seq)
 	}
+	if got := b.stats.StableBroadcasts.Load(); got != 1 {
+		t.Fatalf("StableBroadcasts = %d, want 1", got)
+	}
+
+	// The sequencer's own proposals in one burst leave together at its
+	// end: one SeqdBatch, one contiguous range.
+	b.Propose([]byte("x"), nil)
+	b.Propose([]byte("y"), nil)
+	fn.endBurst()
+	sent = fn.takeSent()
+	if len(sent) != 1 {
+		t.Fatalf("own proposals sent %d frames, want 1 SeqdBatch", len(sent))
+	}
+	if sb := sent[0].payload.(SeqdBatch); sb.FirstSeq != 5 || len(sb.Entries) != 2 || sb.Entries[0].Origin != b.self {
+		t.Fatalf("own SeqdBatch = %+v, want own pubs at [5,7)", sb)
+	}
+
 	// Duplicate sequencing protection across batches: re-sending the
 	// first batch (a resubmission race) sequences nothing.
 	before := b.stats.Sequenced.Load()
@@ -280,18 +280,46 @@ func TestGroupCommitSequencerRangesAndPiggyback(t *testing.T) {
 	}
 }
 
+// TestStableAdvanceAllocatesNothing pins the in-place log prune: an ack
+// that advances the sequencer's stability frontier allocates nothing.
+func TestStableAdvanceAllocatesNothing(t *testing.T) {
+	fn := &fakeNode{id: proc("p1")}
+	b := New(fn, Config{Batch: BatchConfig{MaxEntries: 8}})
+	p2 := proc("p2")
+	syncAsSequencer(t, b, fn, 0, p2)
+	const n = 200
+	items := make([]PubItem, n)
+	for i := range items {
+		items[i] = PubItem{PubID: uint64(i + 1), Body: []byte{byte(i)}}
+	}
+	b.HandleApp(p2, PubBatch{Origin: p2, Pubs: items})
+
+	var acked uint64
+	allocs := testing.AllocsPerRun(100, func() {
+		acked++
+		b.onAckSeq(p2, AckSeq{Ver: 0, Seq: acked})
+	})
+	if allocs != 0 {
+		t.Fatalf("a stability advance allocated %.1f times, want 0", allocs)
+	}
+	if b.stable != acked || len(b.log) != n-int(acked) {
+		t.Fatalf("stable %d with %d retained, want %d with %d", b.stable, len(b.log), acked, n-int(acked))
+	}
+}
+
 // TestBatchCapOneIsLegacyWire pins the degenerate case: MaxEntries ≤ 1
 // keeps the exact unbatched vocabulary — individual Pub and Seqd frames,
 // an AckSeq per delivery, standalone Stable broadcasts, and no batch
-// frames or coalescing timers anywhere.
+// frames or deferred flushes anywhere.
 func TestBatchCapOneIsLegacyWire(t *testing.T) {
 	// Origin side: each proposal leaves immediately as its own Pub.
-	fn := &timerNode{fakeNode: fakeNode{id: proc("p2")}}
+	fn := &fakeNode{id: proc("p2")}
 	b := New(fn, Config{Batch: BatchConfig{MaxEntries: 1}})
 	seq := syncAsMember(b, fn, 0)
 	for i := 0; i < 3; i++ {
 		b.Propose([]byte{byte(i)}, nil)
 	}
+	fn.endBurst()
 	sent := fn.takeSent()
 	if len(sent) != 3 {
 		t.Fatalf("3 proposals sent %d frames, want 3 individual Pubs", len(sent))
@@ -308,12 +336,12 @@ func TestBatchCapOneIsLegacyWire(t *testing.T) {
 	if acks, last := countAcks(fn.takeSent()); acks != 2 || last != 2 {
 		t.Fatalf("2 deliveries sent %d acks (last %d), want one per entry", acks, last)
 	}
-	if len(fn.timers) != 0 {
-		t.Fatalf("legacy path armed %d timers", len(fn.timers))
+	if len(fn.runq) != 0 {
+		t.Fatalf("legacy path armed %d end-of-burst flushes", len(fn.runq))
 	}
 
 	// Sequencer side: Pub in → Seqd out, Stable broadcast on ack.
-	sn := &timerNode{fakeNode: fakeNode{id: proc("p1")}}
+	sn := &fakeNode{id: proc("p1")}
 	sq := New(sn, Config{Batch: BatchConfig{MaxEntries: 1}})
 	p2 := proc("p2")
 	syncAsSequencer(t, sq, sn, 0, p2)
@@ -342,7 +370,7 @@ func TestBatchCapOneIsLegacyWire(t *testing.T) {
 // processed prefix is unstable holds until the frontier covers it; with
 // nothing unstable it releases immediately.
 func TestFenceReleasesOnlyAtStability(t *testing.T) {
-	fn := &timerNode{fakeNode: fakeNode{id: proc("p2")}}
+	fn := &fakeNode{id: proc("p2")}
 	b := New(fn, Config{})
 	seq := syncAsMember(b, fn, 0)
 
@@ -368,7 +396,7 @@ func TestFenceReleasesOnlyAtStability(t *testing.T) {
 // install, re-targets to the new view's covering prefix, and releases at
 // the new view's stability — never before.
 func TestFenceRetargetsAcrossViewChange(t *testing.T) {
-	fn := &timerNode{fakeNode: fakeNode{id: proc("p2")}}
+	fn := &fakeNode{id: proc("p2")}
 	b := New(fn, Config{})
 	seq := syncAsMember(b, fn, 0)
 	px := proc("p9")
@@ -396,9 +424,11 @@ func TestFenceRetargetsAcrossViewChange(t *testing.T) {
 // --- batched vs unbatched equivalence ---------------------------------------
 
 // simNet wires Broadcasters through in-memory inboxes under a seeded
-// scheduler: one message delivery or timer firing at a time, order chosen
-// by the rng. Deterministic for a given seed, so the batched and
-// unbatched arms replay the identical script.
+// scheduler: one envelope at a time, the node chosen by the rng. An
+// inbox models the live mailbox: frames from peers and Run tasks share
+// one FIFO, so a Run posted during dispatch runs after everything already
+// queued. Deterministic for a given seed, so the batched and unbatched
+// arms replay the identical script.
 type simNet struct {
 	rng   *rand.Rand
 	order []ids.ProcID
@@ -406,15 +436,21 @@ type simNet struct {
 }
 
 type simNode struct {
-	net    *simNet
-	id     ids.ProcID
-	b      *Broadcaster
-	inbox  []fakeSend
-	timers []*fakeTimer
-	dead   bool
+	net   *simNet
+	id    ids.ProcID
+	b     *Broadcaster
+	inbox []simEnvelope
+	dead  bool
 
 	applied []CmdKey
 	acked   map[uint64]bool // own pubIDs acked at stability
+}
+
+// simEnvelope is one inbox entry: a frame from a peer, or a posted task.
+type simEnvelope struct {
+	from    ids.ProcID
+	payload any
+	fn      func()
 }
 
 // CmdKey is a command's global identity in the sim.
@@ -426,14 +462,13 @@ type CmdKey struct {
 func (n *simNode) ID() ids.ProcID { return n.id }
 func (n *simNode) Send(to ids.ProcID, payload any) {
 	if dst, ok := n.net.nodes[to]; ok && !dst.dead {
-		dst.inbox = append(dst.inbox, fakeSend{to: n.id, payload: payload}) // to field reused as "from"
+		dst.inbox = append(dst.inbox, simEnvelope{from: n.id, payload: payload})
 	}
 }
-func (n *simNode) Run(fn func()) { fn() }
-func (n *simNode) After(d time.Duration, fn func()) func() {
-	t := &fakeTimer{d: d, fn: fn}
-	n.timers = append(n.timers, t)
-	return func() { t.dead = true }
+func (n *simNode) Run(fn func()) {
+	if !n.dead {
+		n.inbox = append(n.inbox, simEnvelope{fn: fn})
+	}
 }
 
 func newSimNet(seed int64, members []ids.ProcID, cfg Config) *simNet {
@@ -448,8 +483,8 @@ func newSimNet(seed int64, members []ids.ProcID, cfg Config) *simNet {
 	return net
 }
 
-// step delivers one queued message (random busy node, FIFO within the
-// node); with none queued it fires one pending timer. False = quiescent.
+// step dispatches one queued envelope (random busy node, FIFO within the
+// node). False = quiescent.
 func (net *simNet) step() bool {
 	busy := make([]*simNode, 0, len(net.order))
 	for _, p := range net.order {
@@ -459,24 +494,14 @@ func (net *simNet) step() bool {
 	}
 	if len(busy) > 0 {
 		n := busy[net.rng.Intn(len(busy))]
-		m := n.inbox[0]
+		e := n.inbox[0]
 		n.inbox = n.inbox[1:]
-		n.b.HandleApp(m.to, m.payload)
+		if e.fn != nil {
+			e.fn()
+		} else {
+			n.b.HandleApp(e.from, e.payload)
+		}
 		return true
-	}
-	for _, p := range net.order {
-		n := net.nodes[p]
-		if n.dead {
-			continue
-		}
-		for len(n.timers) > 0 {
-			t := n.timers[0]
-			n.timers = n.timers[1:]
-			if !t.dead {
-				t.fn()
-				return true
-			}
-		}
 	}
 	return false
 }
@@ -557,8 +582,8 @@ func TestBatchedMatchesUnbatchedUnderViewChanges(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		unb, unbAcked := runGroupCommitSim(t, seed, Config{})
 		bat, batAcked := runGroupCommitSim(t, seed, Config{
-			Batch: BatchConfig{MaxEntries: 4, MaxDelay: time.Millisecond},
-			Ack:   AckConfig{Every: 4, Delay: time.Millisecond},
+			Batch: BatchConfig{MaxEntries: 4},
+			Ack:   AckConfig{Every: 4},
 		})
 
 		for name, run := range map[string]map[ids.ProcID][]CmdKey{"unbatched": unb, "batched": bat} {
@@ -626,7 +651,7 @@ func TestBatchedMatchesUnbatchedUnderViewChanges(t *testing.T) {
 }
 
 // TestGroupCommitLivenessAfterSequencerCrash is the liveness property:
-// once the network quiesces (no queued frames, no pending timers), every
+// once the network quiesces (no queued frames or tasks), every
 // proposal made by a survivor must have completed — the pipeline-paced
 // flush must never strand queued pubs behind a pipeline slot that a view
 // change emptied. Bursty load (many proposals between scheduler steps)
@@ -637,8 +662,8 @@ func TestGroupCommitLivenessAfterSequencerCrash(t *testing.T) {
 		members := []ids.ProcID{proc("p1"), proc("p2"), proc("p3"), proc("p4")}
 		survivors := members[1:]
 		net := newSimNet(seed, members, Config{
-			Batch: BatchConfig{MaxEntries: 8, MaxDelay: time.Millisecond},
-			Ack:   AckConfig{Every: 8, Delay: time.Millisecond},
+			Batch: BatchConfig{MaxEntries: 8},
+			Ack:   AckConfig{Every: 8},
 		})
 		script := rand.New(rand.NewSource(seed ^ 0x11fe))
 		for _, p := range members {

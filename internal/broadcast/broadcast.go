@@ -3,7 +3,6 @@ package broadcast
 import (
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"procgroup/internal/ids"
 	"procgroup/internal/live"
@@ -25,22 +24,19 @@ type Msg struct {
 }
 
 // BatchConfig tunes group commit on the origin→sequencer leg: queued
-// Propose bodies coalesce into one PubBatch frame, flushed when any cap
-// trips. MaxEntries ≤ 1 disables batching entirely — every Propose sends
-// an individual Pub, the sequencer fans out individual Seqds and separate
-// Stable broadcasts, reproducing the unbatched wire exactly (the
-// degenerate case the A/B benchmarks pin).
+// Propose bodies coalesce into one PubBatch frame, flushed when a cap
+// trips, when the origin's pipeline drains, or — on the sequencer — at
+// the end of the event-loop burst (DESIGN.md §12). MaxEntries ≤ 1
+// disables batching entirely — every Propose sends an individual Pub, the
+// sequencer fans out individual Seqds and separate Stable broadcasts,
+// reproducing the unbatched wire exactly (the degenerate case the A/B
+// benchmarks pin).
 type BatchConfig struct {
 	// MaxEntries flushes the queue at this many proposals (≤ 1 = off).
 	MaxEntries int
 	// MaxBytes flushes the queue at this many queued body bytes
 	// (default 256 KiB; stays well under the transport's frame cap).
 	MaxBytes int
-	// MaxDelay bounds how long a queued proposal waits for company
-	// (default 1ms — the live loop's timer floor). It also bounds the
-	// sequencer's Stable piggyback: if no SeqdBatch goes out within
-	// MaxDelay of the frontier advancing, Stable is broadcast alone.
-	MaxDelay time.Duration
 }
 
 // AckConfig coalesces the member→sequencer delivery acks. Acks are
@@ -49,11 +45,9 @@ type BatchConfig struct {
 // pure storm. Every ≤ 1 keeps the legacy ack-per-delivery behavior.
 type AckConfig struct {
 	// Every sends the cumulative ack once this many deliveries are
-	// unacknowledged.
+	// unacknowledged; a smaller remainder is acked at the end of the
+	// event-loop burst that delivered it.
 	Every int
-	// Delay bounds how long a delivery waits unacknowledged when the
-	// count cap is not reached (default 1ms).
-	Delay time.Duration
 }
 
 // Config wires a Broadcaster to its application. All callbacks run on
@@ -248,21 +242,23 @@ type Broadcaster struct {
 	pubQueue      []uint64
 	pubQueueBytes int
 	pubsUnseqd    int // own pubs shipped but not yet slotted (pipeline depth)
-	cancelFlush   func()
 
 	// member ack coalescing
-	ackLast   uint64 // highest seq acked to the sequencer this view
-	cancelAck func()
+	ackLast uint64 // highest seq acked to the sequencer this view
+
+	// end-of-burst flush: endBurstFn is b.endBurst, built once so arming
+	// the flush allocates nothing; burstArmed keeps it posted at most once.
+	endBurstFn func()
+	burstArmed bool
 
 	// read fences: stability-fenced local reads (DESIGN.md §12)
 	fences []fence
 
 	// sequencer state
-	seqNext      uint64
-	acks         map[ids.ProcID]uint64
-	flushes      map[ids.ProcID]Flush
-	stableDirty  bool // frontier advanced; piggyback on the next SeqdBatch
-	cancelStable func()
+	seqNext     uint64
+	acks        map[ids.ProcID]uint64
+	flushes     map[ids.ProcID]Flush
+	stableDirty bool // frontier advanced; piggyback on the next SeqdBatch
 }
 
 // fenceResync marks a fence awaiting the view's sync before it can be
@@ -294,18 +290,10 @@ func New(n live.AppNode, cfg Config) *Broadcaster {
 	if cfg.MaxBuffered <= 0 {
 		cfg.MaxBuffered = 4096
 	}
-	if cfg.Batch.MaxEntries > 1 {
-		if cfg.Batch.MaxBytes <= 0 {
-			cfg.Batch.MaxBytes = 256 << 10
-		}
-		if cfg.Batch.MaxDelay <= 0 {
-			cfg.Batch.MaxDelay = time.Millisecond
-		}
+	if cfg.Batch.MaxEntries > 1 && cfg.Batch.MaxBytes <= 0 {
+		cfg.Batch.MaxBytes = 256 << 10
 	}
-	if cfg.Ack.Every > 1 && cfg.Ack.Delay <= 0 {
-		cfg.Ack.Delay = time.Millisecond
-	}
-	return &Broadcaster{
+	b := &Broadcaster{
 		n:        n,
 		cfg:      cfg,
 		self:     n.ID(),
@@ -317,6 +305,8 @@ func New(n live.AppNode, cfg Config) *Broadcaster {
 		acks:     make(map[ids.ProcID]uint64),
 		flushes:  make(map[ids.ProcID]Flush),
 	}
+	b.endBurstFn = b.endBurst
+	return b
 }
 
 // StatsRef exposes the node's counters.
@@ -387,9 +377,16 @@ func (b *Broadcaster) sendPub(id uint64, p *pubState) {
 // immediately when this origin has nothing in flight (the batch is
 // whatever accumulated — size 1 at low load, so an idle group pays no
 // batching latency), let an in-flight batch absorb new arrivals, and
-// flush early when a size cap trips. The timer is only a liveness
-// fallback for the sequencer's ride-along queue and for pipeline state
-// lost to a view change.
+// flush early when a size cap trips. The sequencer slots its own pubs the
+// moment they flush, so it has no pipeline to pace by: its queue rides
+// along behind remote batches (flushOwnAlong) or leaves at the end of the
+// burst.
+//
+// A non-sequencer needs no fallback: its queue waits only on its own pubs
+// coming home with slots, and within one view every shipped pub comes
+// home (the sequencer slots each fresh pub exactly once). Pipeline state
+// is lost only to a view change, and HandleInstall resets pubsUnseqd
+// while afterSync resubmits and re-flushes the queue.
 func (b *Broadcaster) enqueuePub(id uint64, size int) {
 	b.pubQueue = append(b.pubQueue, id)
 	b.pubQueueBytes += size
@@ -398,13 +395,40 @@ func (b *Broadcaster) enqueuePub(id uint64, size int) {
 		b.flushPubs()
 		return
 	}
-	if b.cancelFlush == nil {
-		b.cancelFlush = b.n.After(b.cfg.Batch.MaxDelay, func() {
-			b.cancelFlush = nil
-			if b.installed && b.synced {
-				b.flushPubs()
-			}
-		})
+	if b.isSeq {
+		b.armFlush()
+	}
+}
+
+// armFlush schedules endBurst behind every envelope already queued on
+// this node's event loop. The loop drains its whole mailbox per wake, so
+// at low load the flush runs at once, and under load it runs after the
+// burst, coalescing everything the burst produced.
+func (b *Broadcaster) armFlush() {
+	if !b.burstArmed {
+		b.burstArmed = true
+		b.n.Run(b.endBurstFn)
+	}
+}
+
+// endBurst is the end-of-burst flush: the sequencer ships its own queued
+// pubs (carrying any dirty frontier) and then a frontier no SeqdBatch
+// carried; a member sends its cumulative ack for a partial ack window.
+func (b *Broadcaster) endBurst() {
+	b.burstArmed = false
+	if !b.installed || !b.synced {
+		return // the view changed under the burst; the sync re-flushes
+	}
+	if !b.isSeq {
+		if b.ackLast < b.next-1 {
+			b.sendAck()
+		}
+		return
+	}
+	b.flushOwnAlong()
+	if b.stableDirty {
+		b.stableDirty = false
+		b.broadcastStable()
 	}
 }
 
@@ -412,10 +436,6 @@ func (b *Broadcaster) enqueuePub(id uint64, size int) {
 // directly when this node is the sequencer). Queue entries that completed
 // or were assigned a slot while queued are skipped.
 func (b *Broadcaster) flushPubs() {
-	if b.cancelFlush != nil {
-		b.cancelFlush()
-		b.cancelFlush = nil
-	}
 	if len(b.pubQueue) == 0 || !b.installed || !b.synced {
 		return
 	}
@@ -579,18 +599,6 @@ func (b *Broadcaster) HandleInstall(ver member.Version, members []ids.ProcID) {
 	b.pubsUnseqd = 0
 	b.ackLast = 0
 	b.stableDirty = false
-	if b.cancelFlush != nil {
-		b.cancelFlush()
-		b.cancelFlush = nil
-	}
-	if b.cancelAck != nil {
-		b.cancelAck()
-		b.cancelAck = nil
-	}
-	if b.cancelStable != nil {
-		b.cancelStable()
-		b.cancelStable = nil
-	}
 	for i := range b.fences {
 		b.fences[i].seq = fenceResync
 	}
@@ -663,8 +671,8 @@ func (b *Broadcaster) onSeqdBatch(m SeqdBatch) {
 }
 
 // maybeAck implements ack coalescing: send the cumulative ack once Every
-// deliveries are pending, otherwise hold it behind the ack timer. With
-// Every ≤ 1 every delivery acks immediately (legacy).
+// deliveries are pending, otherwise at the end of the burst. With Every ≤
+// 1 every delivery acks immediately (legacy).
 func (b *Broadcaster) maybeAck() {
 	if b.ackLast >= b.next-1 {
 		return
@@ -674,21 +682,10 @@ func (b *Broadcaster) maybeAck() {
 		return
 	}
 	b.stats.AcksSuppressed.Add(1)
-	if b.cancelAck == nil {
-		b.cancelAck = b.n.After(b.cfg.Ack.Delay, func() {
-			b.cancelAck = nil
-			if b.installed && b.synced && !b.isSeq && b.ackLast < b.next-1 {
-				b.sendAck()
-			}
-		})
-	}
+	b.armFlush()
 }
 
 func (b *Broadcaster) sendAck() {
-	if b.cancelAck != nil {
-		b.cancelAck()
-		b.cancelAck = nil
-	}
 	b.ackLast = b.next - 1
 	b.stats.AcksSent.Add(1)
 	b.n.Send(b.seqID, AckSeq{Ver: b.ver, Seq: b.ackLast})
@@ -768,7 +765,11 @@ func (b *Broadcaster) setStable(s uint64) {
 	for i < len(b.log) && b.log[i].Seq <= s {
 		i++
 	}
-	b.log = append([]Entry(nil), b.log[i:]...)
+	// Prune in place: copy the survivors down and zero the vacated tail so
+	// the pruned bodies can be collected.
+	kept := copy(b.log, b.log[i:])
+	clear(b.log[kept:])
+	b.log = b.log[:kept]
 	for id, p := range b.inflight {
 		if p.seq != 0 && p.seq <= s {
 			delete(b.inflight, id)
@@ -818,10 +819,8 @@ func (b *Broadcaster) onPubBatch(pb PubBatch) {
 
 // flushOwnAlong paces the sequencer's own group-commit queue off the
 // traffic it sequences for everyone else: whenever a remote batch comes
-// through, the queued local pubs ride out right behind it. The sequencer
-// has no in-flight pipeline to pace by (it slots its own pubs the moment
-// they flush), so without this only the size caps or the fallback timer
-// would ship its queue.
+// through, the queued local pubs ride out right behind it instead of
+// waiting for the end of the burst.
 func (b *Broadcaster) flushOwnAlong() {
 	if len(b.pubQueue) > 0 {
 		b.flushPubs()
@@ -888,10 +887,6 @@ func (b *Broadcaster) sequenceBatch(origin ids.ProcID, items []PubItem) {
 	b.stats.BatchHist[histBucket(keep)].Add(1)
 	if b.stableDirty {
 		b.stableDirty = false
-		if b.cancelStable != nil {
-			b.cancelStable()
-			b.cancelStable = nil
-		}
 		b.stats.StablePiggybacked.Add(1)
 	}
 	sb := SeqdBatch{Ver: b.ver, FirstSeq: first, Stable: b.stable, Entries: ents}
@@ -923,8 +918,8 @@ func (b *Broadcaster) noteAck(from ids.ProcID, s uint64) {
 // advanceStable recomputes the stability frontier: the minimum contiguous
 // ack over every member of the view. Crossing it triggers the Stable
 // fan-out that lets everyone prune and ack — broadcast immediately on the
-// unbatched wire, piggybacked on the next SeqdBatch under group commit
-// (with a MaxDelay timer so a quiescent group still learns it).
+// unbatched wire, piggybacked on a SeqdBatch under group commit, or sent
+// alone at the end of the burst when no SeqdBatch carried it.
 func (b *Broadcaster) advanceStable() {
 	min := ^uint64(0)
 	for _, m := range b.members {
@@ -941,15 +936,7 @@ func (b *Broadcaster) advanceStable() {
 		return
 	}
 	b.stableDirty = true
-	if b.cancelStable == nil {
-		b.cancelStable = b.n.After(b.cfg.Batch.MaxDelay, func() {
-			b.cancelStable = nil
-			if b.stableDirty && b.installed && b.synced && b.isSeq {
-				b.stableDirty = false
-				b.broadcastStable()
-			}
-		})
-	}
+	b.armFlush()
 }
 
 func (b *Broadcaster) broadcastStable() {

@@ -3,18 +3,21 @@ package broadcast
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"procgroup/internal/ids"
 	"procgroup/internal/member"
 )
 
-// fakeNode is a deterministic live.AppNode: sends are captured, Run is
-// synchronous, timers never fire. It drives one Broadcaster directly,
-// with the test playing the network.
+// fakeNode is a deterministic live.AppNode: sends are captured, and Run
+// posts to the tail of a queue the test drains with endBurst — the model
+// of a Run posted to the node's mailbox, which executes only after the
+// envelopes queued before it. It drives one Broadcaster directly, with
+// the test playing the network: each HandleApp call is one dispatched
+// envelope of the current burst.
 type fakeNode struct {
 	id   ids.ProcID
 	sent []fakeSend
+	runq []func()
 }
 
 type fakeSend struct {
@@ -26,10 +29,19 @@ func (f *fakeNode) ID() ids.ProcID { return f.id }
 func (f *fakeNode) Send(to ids.ProcID, payload any) {
 	f.sent = append(f.sent, fakeSend{to, payload})
 }
-func (f *fakeNode) Run(fn func())                      { fn() }
-func (f *fakeNode) After(time.Duration, func()) func() { return func() {} }
-func (f *fakeNode) takeSent() []fakeSend               { s := f.sent; f.sent = nil; return s }
-func proc(s string) ids.ProcID                         { return ids.Named(s) }
+func (f *fakeNode) Run(fn func())        { f.runq = append(f.runq, fn) }
+func (f *fakeNode) takeSent() []fakeSend { s := f.sent; f.sent = nil; return s }
+func proc(s string) ids.ProcID           { return ids.Named(s) }
+
+// endBurst ends the current burst: it runs the posted tasks in order,
+// including any they post in turn.
+func (f *fakeNode) endBurst() {
+	for len(f.runq) > 0 {
+		fn := f.runq[0]
+		f.runq = f.runq[1:]
+		fn()
+	}
+}
 
 func entry(ver, seq uint64, origin ids.ProcID, pubID uint64) Entry {
 	return Entry{Ver: ver, Seq: seq, Origin: origin, PubID: pubID, Body: []byte{byte(pubID)}}
@@ -320,6 +332,7 @@ func TestProposeBeforeFirstInstallIsHeldThenSent(t *testing.T) {
 	seq := proc("p1")
 	done := 0
 	b.Propose([]byte("x"), func(uint64, error) { done++ })
+	fn.endBurst()
 	if len(fn.takeSent()) != 0 {
 		t.Fatal("pub escaped before any view installed")
 	}

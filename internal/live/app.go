@@ -1,8 +1,6 @@
 package live
 
 import (
-	"time"
-
 	"procgroup/internal/ids"
 	"procgroup/internal/member"
 )
@@ -34,9 +32,8 @@ type AppHook interface {
 
 // AppHookFactory builds one AppHook per spawned node (Options.App). The
 // AppNode it receives is the node's application-facing surface: identity,
-// wire sends, loop marshalling, loop timers. The factory runs before the
-// node's event loop starts, so the hook observes every install from the
-// first one.
+// wire sends, loop marshalling. The factory runs before the node's event
+// loop starts, so the hook observes every install from the first one.
 type AppHookFactory func(n AppNode) AppHook
 
 // AppNode is the surface a node exposes to its AppHook.
@@ -50,11 +47,10 @@ type AppNode interface {
 	Send(to ids.ProcID, payload any)
 	// Run marshals fn onto the node's event loop; it never blocks and is
 	// a no-op once the node has stopped. This is the only safe way for
-	// other goroutines (clients) to touch hook state.
+	// other goroutines (clients) to touch hook state. Posted from the
+	// loop itself, fn runs after every envelope already queued and before
+	// any queued later — the end of the current burst.
 	Run(fn func())
-	// After runs fn on the event loop after d; the returned cancel stops
-	// it. Fires after node death are dropped.
-	After(d time.Duration, fn func()) (cancel func())
 }
 
 // appNode adapts a liveNode to AppNode; methods are safe from any
@@ -77,13 +73,4 @@ func (a *appNode) Send(to ids.ProcID, payload any) {
 
 func (a *appNode) Run(fn func()) {
 	(*liveNode)(a).box.put(envelope{fn: fn})
-}
-
-func (a *appNode) After(d time.Duration, fn func()) (cancel func()) {
-	e := (*liveEnv)(a)
-	ms := int64(d / time.Millisecond)
-	if ms < 1 && d > 0 {
-		ms = 1
-	}
-	return e.After(ms, fn)
 }

@@ -385,6 +385,7 @@ func (ln *liveNode) run() {
 	defer ln.c.wg.Done()
 	tick := time.NewTicker(ln.c.opts.HeartbeatEvery)
 	defer tick.Stop()
+	var burst []envelope
 	for {
 		select {
 		case <-ln.stop:
@@ -399,14 +400,15 @@ func (ln *liveNode) run() {
 				return
 			}
 		case <-ln.box.wake:
-			for {
-				e, ok := ln.box.take()
-				if !ok {
-					break
-				}
-				ln.dispatch(e)
-				if !ln.node.Alive() {
-					return
+			// Drain burst by burst: anything posted while one burst
+			// dispatches (an AppNode.Run flush included) lands in the
+			// next, behind everything queued before it.
+			for burst = ln.box.swap(burst); len(burst) > 0; burst = ln.box.swap(burst) {
+				for _, e := range burst {
+					ln.dispatch(e)
+					if !ln.node.Alive() {
+						return
+					}
 				}
 			}
 		}

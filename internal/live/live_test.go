@@ -1,12 +1,14 @@
 package live
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"procgroup/internal/check"
 	"procgroup/internal/core"
 	"procgroup/internal/ids"
+	"procgroup/internal/member"
 )
 
 // fast returns options tuned for test speed.
@@ -256,5 +258,62 @@ func TestQueryOnDeadNode(t *testing.T) {
 	}
 	if v := c.ViewOf(ids.Named("p3")); v != nil {
 		t.Error("ViewOf killed node returned a view")
+	}
+}
+
+// burstFrame is a self-addressed application frame for the burst test.
+type burstFrame string
+
+func (burstFrame) AppTraffic() {}
+
+// burstHook logs the order its loop handles frames and posted tasks in.
+type burstHook struct {
+	n    AppNode
+	log  []string // loop-owned
+	done chan []string
+}
+
+func (h *burstHook) HandleInstall(member.Version, []ids.ProcID) {}
+
+func (h *burstHook) HandleApp(_ ids.ProcID, payload any) {
+	f := payload.(burstFrame)
+	h.log = append(h.log, string(f))
+	switch f {
+	case "a1":
+		h.n.Run(func() { h.log = append(h.log, "run") })
+		h.n.Send(h.n.ID(), burstFrame("b1"))
+	case "b1":
+		h.done <- h.log
+	}
+}
+
+// TestRunDuringDispatchEndsTheBurst pins the ordering end-of-burst flushes
+// rely on: a Run posted while the loop dispatches executes after every
+// envelope queued before it and before any envelope queued after it.
+func TestRunDuringDispatchEndsTheBurst(t *testing.T) {
+	hook := &burstHook{done: make(chan []string, 1)}
+	opts := fast(1)
+	opts.App = func(n AppNode) AppHook {
+		hook.n = n
+		return hook
+	}
+	c := Start(opts)
+	defer c.Stop()
+
+	// Hold the loop so a1..a3 queue up behind one another.
+	gate := make(chan struct{})
+	hook.n.Run(func() { <-gate })
+	for _, f := range []burstFrame{"a1", "a2", "a3"} {
+		hook.n.Send(hook.n.ID(), f)
+	}
+	close(gate)
+	select {
+	case got := <-hook.done:
+		want := []string{"a1", "a2", "a3", "run", "b1"}
+		if !slices.Equal(got, want) {
+			t.Fatalf("loop handled %v, want %v", got, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("burst never completed")
 	}
 }

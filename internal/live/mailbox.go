@@ -44,16 +44,16 @@ func (m *mailbox) put(e envelope) {
 	}
 }
 
-// take dequeues the next envelope, reporting false when the box is empty.
-func (m *mailbox) take() (envelope, bool) {
+// swap takes every queued envelope under one lock and hands spare (the
+// caller's previous, fully dispatched burst) to the queue as its new
+// backing array, so the two slices alternate without reallocating.
+func (m *mailbox) swap(spare []envelope) []envelope {
+	clear(spare)
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.items) == 0 {
-		return envelope{}, false
-	}
-	e := m.items[0]
-	m.items = m.items[1:]
-	return e, true
+	burst := m.items
+	m.items = spare[:0]
+	m.mu.Unlock()
+	return burst
 }
 
 // close discards queued items and rejects future puts.

@@ -16,8 +16,8 @@ import (
 // run under: moderate caps so batches actually form at test load.
 func batchedCfg() broadcast.Config {
 	return broadcast.Config{
-		Batch: broadcast.BatchConfig{MaxEntries: 16, MaxDelay: time.Millisecond},
-		Ack:   broadcast.AckConfig{Every: 16, Delay: time.Millisecond},
+		Batch: broadcast.BatchConfig{MaxEntries: 16},
+		Ack:   broadcast.AckConfig{Every: 16},
 	}
 }
 
@@ -154,6 +154,92 @@ func TestKVLocalReads(t *testing.T) {
 	}
 	if st.Broadcast.Fences == 0 {
 		t.Error("local reads registered no stability fences")
+	}
+}
+
+// loopNode is a live.AppNode with its own event-loop goroutine: Run
+// posts to the loop and Send captures frames, so a test can play the rest
+// of the group around one real replica.
+type loopNode struct {
+	id    ids.ProcID
+	tasks chan func()
+	sent  chan any
+}
+
+func (l *loopNode) ID() ids.ProcID               { return l.id }
+func (l *loopNode) Send(_ ids.ProcID, frame any) { l.sent <- frame }
+func (l *loopNode) Run(fn func())                { l.tasks <- fn }
+
+// TestJoinerLocalReadBeforeSyncSeesSnapshot: a fenced local read issued
+// on a joiner that has installed its first view but not yet received its
+// ViewSync must not return the joiner's empty pre-snapshot state — the
+// group already holds k=v1, and the read must reflect it.
+func TestJoinerLocalReadBeforeSyncSeesSnapshot(t *testing.T) {
+	seq, self := ids.Named("p1"), ids.Named("p9")
+	// Buffers cover every task and frame of this short script, so the loop
+	// never blocks on the test.
+	ln := &loopNode{id: self, tasks: make(chan func(), 16), sent: make(chan any, 16)}
+	go func() {
+		for fn := range ln.tasks {
+			fn()
+		}
+	}()
+	defer close(ln.tasks)
+	node := rsm.NewNode(ln, rsm.Config{Machine: rsm.NewKV()})
+	h := node.Hook()
+	ln.Run(func() { h.HandleInstall(1, []ids.ProcID{seq, self}) })
+	if _, ok := (<-ln.sent).(broadcast.Flush); !ok {
+		t.Fatal("joiner's first frame is not its flush")
+	}
+
+	type outcome struct {
+		res rsm.ReadResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := node.Read(rsm.EncodeGet("k"), rsm.ReadLocal, 10*time.Second)
+		done <- outcome{res, err}
+	}()
+	// Let the read reach the loop before the ViewSync does.
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if st := node.Stats(); st.ReadFallbacks+st.Broadcast.Fences > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("read never reached the event loop")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	group := rsm.NewKV()
+	group.Apply(rsm.EncodePut("k", "v1"))
+	ln.Run(func() {
+		h.HandleApp(seq, broadcast.ViewSync{Ver: 1, HasSnap: true, Snapshot: group.Snapshot(),
+			Applied: []broadcast.Applied{{Origin: seq, Max: 1}}})
+	})
+
+	timeout := time.After(10 * time.Second)
+	for {
+		select {
+		case o := <-done:
+			if o.err != nil {
+				t.Fatal(o.err)
+			}
+			if got := string(o.res.Resp); got != "v1" {
+				t.Fatalf("joiner read = %q (local %v, fence %v), want the snapshot's v1", got, o.res.Local, o.res.Fence)
+			}
+			return
+		case f := <-ln.sent:
+			// Play the sequencer for a read that fell back to the order.
+			if p, ok := f.(broadcast.Pub); ok {
+				ln.Run(func() {
+					h.HandleApp(seq, broadcast.Seqd{Ver: 1, Seq: 1, Origin: self, PubID: p.PubID, Body: p.Body})
+					h.HandleApp(seq, broadcast.Stable{Ver: 1, Seq: 1})
+				})
+			}
+		case <-timeout:
+			t.Fatal("joiner read never completed")
+		}
 	}
 }
 

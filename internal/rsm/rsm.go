@@ -61,7 +61,8 @@ const (
 	// lies between invoke and complete) is the linearization point — but
 	// it costs no total-order traffic. Falls back to the sequenced path
 	// when the machine has no LocalReader or local state is not fenceable
-	// (a joiner that restored a snapshot but has applied nothing since).
+	// (a member that has applied nothing since it started or restored a
+	// snapshot).
 	ReadLocal ReadConcern = iota
 	// ReadLinearizable sequences the read through the total order like a
 	// write — the conservative path, and the only one for machines whose
@@ -96,9 +97,11 @@ type Node struct {
 
 	// Loop-owned read-fence identity: the last command applied here names
 	// the global-order prefix the local state equals, which is what a
-	// local read's linearization point is certified against. A Restore
-	// invalidates it (the snapshot's coverage has no single command name)
-	// until the next apply.
+	// local read's linearization point is certified against. It is
+	// invalid until the first apply: before its first ViewSync a member
+	// does not know which prefix it holds (a joiner's empty state is not
+	// the group's), and a Restore invalidates it again (the snapshot's
+	// coverage has no single command name).
 	fenceID CmdID
 	fenceOK bool
 
@@ -112,12 +115,11 @@ type Node struct {
 // root package).
 func NewNode(n live.AppNode, cfg Config) *Node {
 	node := &Node{
-		ln:      n,
-		sm:      cfg.Machine,
-		rec:     cfg.Recorder,
-		self:    n.ID(),
-		resp:    make(map[uint64][]byte),
-		fenceOK: true, // empty state = the empty order prefix
+		ln:   n,
+		sm:   cfg.Machine,
+		rec:  cfg.Recorder,
+		self: n.ID(),
+		resp: make(map[uint64][]byte),
 	}
 	if cfg.Recorder != nil {
 		node.rsh = cfg.Recorder.shardFor(node.self)

@@ -30,11 +30,14 @@ type (
 	ReplicaRecorder = rsm.Recorder
 	// BatchConfig tunes group commit on the broadcast hot path: queued
 	// proposals coalesce into one frame, the sequencer assigns contiguous
-	// slot ranges, and stability piggybacks on the fan-out. MaxEntries ≤ 1
-	// is the unbatched legacy wire.
+	// slot ranges, and stability piggybacks on the fan-out. Queues flush
+	// at a size cap, when the origin's pipeline drains, or at the end of
+	// the event-loop burst — never on a timer. MaxEntries ≤ 1 is the
+	// unbatched legacy wire.
 	BatchConfig = broadcast.BatchConfig
-	// AckConfig coalesces the members' cumulative delivery acks (one ack
-	// per B entries or T window instead of one per entry).
+	// AckConfig coalesces the members' cumulative delivery acks: one ack
+	// per Every entries, plus one for any remainder at the end of the
+	// event-loop burst, instead of one per entry.
 	AckConfig = broadcast.AckConfig
 	// ReadConcern selects a Read's path: ReadLocal (stability-fenced local
 	// execution) or ReadLinearizable (sequenced through total order).
