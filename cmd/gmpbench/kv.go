@@ -112,6 +112,10 @@ type kvArm struct {
 	// ZeroAckedLoss restates the durability half of LinearizableOk for
 	// the acceptance grep: every acked write present in the final order.
 	ZeroAckedLoss bool `json:"zero_acked_loss"`
+	// ProgressOk is the liveness verdict beside the safety ones: the arm
+	// acked ops, timed none out, and lost no member beyond its victim.
+	// A wedged group certifies trivially; this is what fails it.
+	ProgressOk bool `json:"progress_ok"`
 }
 
 // kvReport is the BENCH_kv.json schema.
@@ -129,6 +133,7 @@ type kvReport struct {
 	BatchSweep   []int    `json:"batch_sweep"`
 	Arms         []kvArm  `json:"arms"`
 	AllCertified bool     `json:"all_certified"`
+	ProgressOk   bool     `json:"progress_ok"`
 	FloorOps     float64  `json:"floor_ops_per_sec"`
 	FloorOk      bool     `json:"floor_ok"`
 }
@@ -449,6 +454,11 @@ func runKVArm(name, fault string, batchCap int, localReads bool, victim func(v *
 		arm.LinearizableOk = true
 	}
 	arm.ZeroAckedLoss = arm.LinearizableOk && arm.TotalOrderOk
+	victims := 0
+	if victim != nil {
+		victims = 1
+	}
+	arm.ProgressOk = arm.OpsAcked > 0 && arm.OpsTimeout == 0 && arm.Survivors == kvN-victims
 	if kvDump != "" && (!arm.GMPOk || !arm.TotalOrderOk || !arm.LinearizableOk) {
 		kvDumpSequences(name, seqs)
 	}
@@ -541,18 +551,21 @@ func kvPerf(seed int64) {
 			func(v *member.View) ids.ProcID { return v.Mgr() }},
 	)
 
-	rep.AllCertified = true
+	rep.AllCertified, rep.ProgressOk = true, true
 	var headThroughput float64
 	for _, a := range arms {
 		arm, err := runKVArm(a.name, a.fault, a.cap, a.localReads, a.victim)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "kv arm %s: %v\n", a.name, err)
-			rep.AllCertified = false
+			rep.AllCertified, rep.ProgressOk = false, false
 			continue
 		}
 		rep.Arms = append(rep.Arms, arm)
 		if !arm.GMPOk || !arm.TotalOrderOk || !arm.LinearizableOk {
 			rep.AllCertified = false
+		}
+		if !arm.ProgressOk {
+			rep.ProgressOk = false
 		}
 		if arm.Name == fmt.Sprintf("steady-b%d", head) {
 			headThroughput = arm.Throughput
@@ -561,12 +574,12 @@ func kvPerf(seed int64) {
 	rep.FloorOk = kvFloor <= 0 || headThroughput >= kvFloor
 
 	w := tw()
-	fmt.Fprintln(w, "arm\tcap\tacked\ttimeout\tops/s\tp50 (ms)\tp95\tp99\tmax\tlocal rd\tGMP\torder\tlin")
+	fmt.Fprintln(w, "arm\tcap\tacked\ttimeout\tops/s\tp50 (ms)\tp95\tp99\tmax\tlocal rd\tGMP\torder\tlin\tprogress")
 	for _, arm := range rep.Arms {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%.0f\t%.2f\t%.2f\t%.2f\t%.1f\t%d\t%s\t%s\t%s\n",
+		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%.0f\t%.2f\t%.2f\t%.2f\t%.1f\t%d\t%s\t%s\t%s\t%s\n",
 			arm.Name, arm.BatchCap, arm.OpsAcked, arm.OpsTimeout, arm.Throughput,
 			arm.P50Ms, arm.P95Ms, arm.P99Ms, arm.MaxMs, arm.LocalReads,
-			verdict(arm.GMPOk), verdict(arm.TotalOrderOk), verdict(arm.LinearizableOk))
+			verdict(arm.GMPOk), verdict(arm.TotalOrderOk), verdict(arm.LinearizableOk), verdict(arm.ProgressOk))
 	}
 	w.Flush()
 	fmt.Println("note: an op acks only at stability (every view member processed it); group commit")
@@ -574,6 +587,7 @@ func kvPerf(seed int64) {
 	fmt.Println("      scaling with the cap while cap 1 IS the legacy wire. Local reads never enter")
 	fmt.Println("      the order — they fence on stability of the state they read (§2.2, DESIGN §12).")
 	fmt.Printf("all arms certified: %v\n", rep.AllCertified)
+	fmt.Printf("all arms made progress: %v\n", rep.ProgressOk)
 	if kvFloor > 0 {
 		fmt.Printf("throughput floor %.0f ops/s on steady-b%d: %v (measured %.0f)\n", kvFloor, head, rep.FloorOk, headThroughput)
 	}

@@ -39,16 +39,55 @@ func (r Record) id() CmdID { return CmdID{r.Origin, r.PubID} }
 // position at every replica) the event loops never contend on a shared
 // lock — each appends to its own shard, and the outer mutex is only taken
 // to look a shard up.
+//
+// A shard keeps its records packed rather than as Record values: a
+// fixed-size, pointer-free packedRec per position, the origin interned
+// into a per-shard table, and the body copied into an append-only byte
+// arena. Records and bodies both live in chunks that are never copied or
+// regrown; the first chunk is small and each next one doubles up to a
+// cap, so a replica's first record allocates under 2 KB and each record
+// costs ~40 bytes plus its body, none of it scanned by the GC.
+// Sequences rebuilds the Record values on demand, field for field.
 type Recorder struct {
 	mu     sync.Mutex
 	shards map[ids.ProcID]*recShard
 }
 
+// Chunk sizes of a shard's record store and body arena: each new chunk
+// doubles the previous one's size, from first to max.
+const (
+	recChunkFirst  = 32
+	recChunkMax    = 2048
+	bodyChunkFirst = 512
+	bodyChunkMax   = 64 << 10
+)
+
+// packedRec is one Record in a shard's pointer-free layout. origin packs
+// the index into recShard.origins (upper bits) with the applied flag
+// (low bit); body names the record's bytes in the shard's arena.
+type packedRec struct {
+	ver    member.Version
+	seq    uint64
+	pubID  uint64
+	body   bodySpan
+	origin uint32
+}
+
+// bodySpan locates one body in a shard's arena: n bytes at off in
+// chunk.
+type bodySpan struct {
+	chunk, off, n uint32
+}
+
 type recShard struct {
 	mu      sync.Mutex
-	recs    []Record
-	applied int   // running count of applied records
-	last    CmdID // identity of the last applied record
+	recs    [][]packedRec // chunks; only the last has spare capacity
+	nrecs   int
+	origins []ids.ProcID          // interned origins, by packedRec index
+	orgIdx  map[ids.ProcID]uint32 // origin → index into origins
+	bodies  [][]byte              // arena chunks; only the last has room
+	applied int                   // running count of applied records
+	last    CmdID                 // identity of the last applied record
 }
 
 // NewRecorder builds an empty recorder shared by a group's replicas.
@@ -63,38 +102,102 @@ func (r *Recorder) shardFor(replica ids.ProcID) *recShard {
 	defer r.mu.Unlock()
 	s := r.shards[replica]
 	if s == nil {
-		s = &recShard{}
+		s = &recShard{orgIdx: make(map[ids.ProcID]uint32)}
 		r.shards[replica] = s
 	}
 	return s
 }
 
 func (s *recShard) observe(m broadcast.Msg, applied bool) {
-	rec := Record{
-		Ver: m.Ver, Seq: m.Seq,
-		Origin: m.Origin, PubID: m.PubID,
-		Body:    append([]byte(nil), m.Body...),
-		Applied: applied,
-	}
 	s.mu.Lock()
-	s.recs = append(s.recs, rec)
+	rec := packedRec{
+		ver: m.Ver, seq: m.Seq, pubID: m.PubID,
+		body:   s.storeBody(m.Body),
+		origin: s.intern(m.Origin) << 1,
+	}
 	if applied {
+		rec.origin |= 1
 		s.applied++
 		s.last = CmdID{Origin: m.Origin, PubID: m.PubID}
 	}
+	last := len(s.recs) - 1
+	if last < 0 || len(s.recs[last]) == cap(s.recs[last]) {
+		s.recs = append(s.recs, make([]packedRec, 0, nextChunk(s.recs, recChunkFirst, recChunkMax)))
+		last++
+	}
+	s.recs[last] = append(s.recs[last], rec)
+	s.nrecs++
 	s.mu.Unlock()
 }
 
-// Sequences returns a deep-enough copy of every replica's processed
-// order (records are value types; bodies are shared, treated read-only).
+// intern returns origin's index in the shard's origin table, adding it
+// on first sight; s.mu must be held.
+func (s *recShard) intern(origin ids.ProcID) uint32 {
+	i, ok := s.orgIdx[origin]
+	if !ok {
+		i = uint32(len(s.origins))
+		s.origins = append(s.origins, origin)
+		s.orgIdx[origin] = i
+	}
+	return i
+}
+
+// storeBody copies body into the arena; s.mu must be held. A body larger
+// than the next chunk gets a chunk of its own size.
+func (s *recShard) storeBody(body []byte) bodySpan {
+	if len(body) == 0 {
+		return bodySpan{}
+	}
+	last := len(s.bodies) - 1
+	if last < 0 || cap(s.bodies[last])-len(s.bodies[last]) < len(body) {
+		s.bodies = append(s.bodies, make([]byte, 0, max(nextChunk(s.bodies, bodyChunkFirst, bodyChunkMax), len(body))))
+		last++
+	}
+	c := s.bodies[last]
+	s.bodies[last] = append(c, body...)
+	return bodySpan{chunk: uint32(last), off: uint32(len(c)), n: uint32(len(body))}
+}
+
+// nextChunk sizes the chunk that follows chunks: first, then twice the
+// last chunk's capacity, capped at most.
+func nextChunk[T any](chunks [][]T, first, most int) int {
+	if len(chunks) == 0 {
+		return first
+	}
+	return min(2*cap(chunks[len(chunks)-1]), most)
+}
+
+// record rebuilds one Record; s.mu must be held.
+func (s *recShard) record(p *packedRec) Record {
+	rec := Record{
+		Ver: p.ver, Seq: p.seq,
+		Origin:  s.origins[p.origin>>1],
+		PubID:   p.pubID,
+		Applied: p.origin&1 == 1,
+	}
+	if n := p.body.n; n > 0 {
+		end := p.body.off + n
+		rec.Body = s.bodies[p.body.chunk][p.body.off:end:end]
+	}
+	return rec
+}
+
+// Sequences returns every replica's processed order as fresh Record
+// slices. Bodies alias the recorder's arena and are read-only.
 func (r *Recorder) Sequences() map[ids.ProcID][]Record {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make(map[ids.ProcID][]Record, len(r.shards))
 	for p, s := range r.shards {
 		s.mu.Lock()
-		out[p] = append([]Record(nil), s.recs...)
+		recs := make([]Record, 0, s.nrecs)
+		for _, chunk := range s.recs {
+			for i := range chunk {
+				recs = append(recs, s.record(&chunk[i]))
+			}
+		}
 		s.mu.Unlock()
+		out[p] = recs
 	}
 	return out
 }
@@ -107,9 +210,9 @@ type Frontier struct {
 }
 
 // Frontiers summarizes every replica's applied sequence without copying
-// history — the cheap poll for settle/quiesce loops, where Sequences'
-// full deep copy (hundreds of MB under bench load) would dominate the
-// run.
+// history — the cheap poll for settle/quiesce loops, where Sequences
+// would rebuild every replica's whole history as 80-byte Records per
+// call and dominate the run.
 func (r *Recorder) Frontiers() map[ids.ProcID]Frontier {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -1069,8 +1069,10 @@ func (w *muxWriter) appendBeacon(a []byte, mf *muxFrame) ([]byte, error) {
 
 // ensureConn returns the pair's connection, dialing (and introducing the
 // link with a muxHello) if none is established. A connection adopted from
-// the accept side while we dialed is resolved by the same rule adopt
-// applies: the connection initiated by the smaller pair end survives.
+// the accept side while we dialed is either the far end of this dial (both
+// pair ends in this instance), in which case the dialed end carries the
+// writes, or a rival resolved by the same rule adopt applies: the
+// connection initiated by the smaller pair end survives.
 // Both sides must pick the same winner — if this end kept whichever
 // socket happened to establish first while the far end kept the other,
 // a simultaneous open would leave each side writing into a connection
@@ -1114,28 +1116,34 @@ func (m *pairMux) ensureConn() (net.Conn, dropReason) {
 		c.Close()
 		return nil, dropClosed
 	}
+	var rival net.Conn
 	if m.conn != nil { // adopted from the accept side while we dialed
-		if !init.Less(m.connInit) {
+		switch {
+		case m.connInit == init && m.conn.RemoteAddr().String() == c.LocalAddr().String():
+			// The far end of this very dial (both pair ends live in this
+			// instance, and the accept side adopted first). Its reader
+			// stays; as in adopt's own-loopback case, the dialed end
+			// carries the writes. Keeping the adopted socket and closing
+			// the dialed end would leave it talking to nobody.
+		case !init.Less(m.connInit):
 			// The adopted connection's initiator wins the simultaneous
-			// open (or it is this instance's own loopback leg): keep it.
+			// open: keep it.
 			adopted := m.conn
 			m.mu.Unlock()
 			c.Close()
 			return adopted, dropNone
+		default:
+			// This end is the smaller initiator: the far end's adopt keeps
+			// the connection *we* dialed, so the adopted one here is
+			// already abandoned over there. Our dial wins on both sides.
+			rival = m.conn
 		}
-		// This end is the smaller initiator: the far end's adopt keeps
-		// the connection *we* dialed, so the adopted one here is already
-		// abandoned over there. Our dial wins on both sides.
-		old := m.conn
-		m.conn, m.connInit = c, init
-		m.mu.Unlock()
-		old.Close()
-		t.wg.Add(1)
-		go t.readConn(c, nil, m)
-		return c, dropNone
 	}
 	m.conn, m.connInit = c, init
 	m.mu.Unlock()
+	if rival != nil {
+		rival.Close()
+	}
 	t.wg.Add(1)
 	go t.readConn(c, nil, m) // the reverse direction rides the same socket
 	return c, dropNone

@@ -186,3 +186,84 @@ func TestTCPSimultaneousOpenAcceptorWins(t *testing.T) {
 	}
 	raw.Close()
 }
+
+// TestTCPInInstanceAdoptBeforeDialerResumes: both pair ends live in one
+// transport, and the accept side adopts the dialed connection before the
+// dialer re-examines the pair. The adopted socket is then the far end of
+// the dialer's own connection; keeping it and closing the dialed end
+// would write every queued frame into a dead socket, uncounted. All of
+// them must arrive, in order, with nothing dropped.
+func TestTCPInInstanceAdoptBeforeDialerResumes(t *testing.T) {
+	tr := NewTCP()
+	defer tr.Close()
+	a, b := ids.Named("a"), ids.Named("b")
+
+	var mu sync.Mutex
+	var got []int
+	if err := tr.Register(a, func(ids.ProcID, Message) {}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Register(b, func(_ ids.ProcID, m Message) {
+		mu.Lock()
+		got = append(got, int(m.MsgID))
+		mu.Unlock()
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Hold the dialer until b's accept loop has adopted the connection.
+	var adopted net.Conn
+	hookDone := make(chan struct{})
+	tcpPostDialHook = func(init, dialTo ids.ProcID) {
+		tcpPostDialHook = nil
+		defer close(hookDone)
+		m := pairMuxOf(t, tr, init, dialTo)
+		deadline := time.Now().Add(5 * time.Second)
+		for adopted == nil && time.Now().Before(deadline) {
+			m.mu.Lock()
+			adopted = m.conn
+			m.mu.Unlock()
+			time.Sleep(time.Millisecond)
+		}
+		if adopted == nil {
+			t.Error("accept side never adopted the dialed connection")
+		}
+	}
+	defer func() { tcpPostDialHook = nil }()
+
+	const n = 50
+	for i := 1; i <= n; i++ {
+		tr.Send(a, b, Message{MsgID: int64(i), Payload: fifoPayload{N: i}})
+	}
+	select {
+	case <-hookDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ensureConn never reached its post-dial window")
+	}
+	waitFor(t, 10*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got) == n
+	}, fmt.Sprintf("%d frames after an in-instance adopt (dropped %d)", n, tr.Stats().Dropped()))
+	mu.Lock()
+	defer mu.Unlock()
+	for i, id := range got {
+		if id != i+1 {
+			t.Fatalf("FIFO broken: position %d = msg %d", i, id)
+		}
+	}
+	if d := tr.Stats().Dropped(); d != 0 {
+		t.Fatalf("dropped %d frames on a healthy in-instance link", d)
+	}
+	// The frames rode the original link: the accepted socket is still
+	// open at b, not torn down and replaced by a redial.
+	tr.mu.RLock()
+	ep := tr.locals[b]
+	tr.mu.RUnlock()
+	ep.mu.Lock()
+	_, open := ep.conns[adopted]
+	ep.mu.Unlock()
+	if !open {
+		t.Fatal("the dialer closed its own dial and the link had to be redialed")
+	}
+}

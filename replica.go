@@ -26,7 +26,10 @@ type (
 	// from any goroutine, acknowledged at stability.
 	Replica = rsm.Node
 	// ReplicaRecorder captures every order position each replica
-	// processes — the raw material of the certification checkers.
+	// processes — the raw material of the certification checkers. It is
+	// always on and keeps every position: ~40 bytes plus a copy of the
+	// body each, packed in pointer-free chunks; Sequences rebuilds the
+	// Record values on demand.
 	ReplicaRecorder = rsm.Recorder
 	// BatchConfig tunes group commit on the broadcast hot path: queued
 	// proposals coalesce into one frame, the sequencer assigns contiguous
