@@ -2,9 +2,9 @@
 // hosts a KV replica on the broadcast layer's view-synchronous total
 // order; a windowed client swarm keeps a bounded number of proposals in
 // flight through every member over the two-plane wire (UDP beacons + TCP
-// streams). The arms sweep the group-commit batch cap (1 = the legacy
-// one-frame-per-op wire, bit-for-bit), add a stability-fenced local-read
-// arm, and inflict a member crash and a sequencer crash under batching.
+// streams). The arms sweep the group-commit batch cap (1 = a batch of
+// one, acked per delivery), add a stability-fenced local-read arm, and
+// inflict a member crash and a sequencer crash under batching.
 // Throughput and latency percentiles quantify the batching win; the
 // certification battery is the point — GMP properties, one total order
 // across replicas, linearizability of every acknowledged op including
@@ -153,12 +153,10 @@ type kvHarness struct {
 	ops   []rsm.ClientOp
 }
 
-// kvBatchCfg maps a batch cap to the broadcast configuration: cap 1 is
-// the zero config — the legacy one-frame-per-op wire, bit-for-bit.
+// kvBatchCfg maps a batch cap to the broadcast configuration. Every
+// field is explicit: a zero field would take the broadcast default
+// (cap 128) and turn the cap-1 arm into a cap-128 one.
 func kvBatchCfg(cap int) broadcast.Config {
-	if cap <= 1 {
-		return broadcast.Config{}
-	}
 	// Ack granularity tracks the batch cap but stays fine enough that a
 	// typical pipeline-paced batch clears the threshold on arrival — the
 	// member acks once per received batch instead of idling on the delay
@@ -584,7 +582,7 @@ func kvPerf(seed int64) {
 	w.Flush()
 	fmt.Println("note: an op acks only at stability (every view member processed it); group commit")
 	fmt.Println("      amortizes that round trip over a whole batch, so the sweep shows throughput")
-	fmt.Println("      scaling with the cap while cap 1 IS the legacy wire. Local reads never enter")
+	fmt.Println("      scaling with the cap; cap 1 ships one op per frame. Local reads never enter")
 	fmt.Println("      the order — they fence on stability of the state they read (§2.2, DESIGN §12).")
 	fmt.Printf("all arms certified: %v\n", rep.AllCertified)
 	fmt.Printf("all arms made progress: %v\n", rep.ProgressOk)

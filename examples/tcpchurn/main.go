@@ -1,10 +1,11 @@
 // TCP churn: the paper's deployment target made literal. A 5-node group
-// runs over real TCP loopback sockets — every directed channel is its own
-// length-prefixed gob stream, the substrate the §2.1 model describes as an
-// asynchronous network of reliable FIFO channels — and is driven through a
-// join + crash churn scenario, including the loss of the coordinator. The
-// ViewWatcher condenses the per-process install streams into the agreed
-// view sequence GMP guarantees.
+// runs over real TCP loopback sockets — each pair of processes shares one
+// connection carrying length-prefixed binary frames, the substrate the
+// §2.1 model describes as an asynchronous network of reliable FIFO
+// channels — and is driven through a join + crash churn scenario,
+// including the loss of the coordinator. The ViewWatcher condenses the
+// per-process install streams into the agreed view sequence GMP
+// guarantees.
 package main
 
 import (

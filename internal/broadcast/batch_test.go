@@ -44,7 +44,7 @@ func TestAckCoalescing(t *testing.T) {
 	// One burst of three deliveries: under the cap, nothing is acked
 	// while the burst dispatches, and the flush is armed exactly once.
 	for i := uint64(1); i <= 3; i++ {
-		b.HandleApp(seq, Seqd(entry(0, i, px, i)))
+		b.HandleApp(seq, seqd(entry(0, i, px, i)))
 	}
 	if acks, _ := countAcks(fn.takeSent()); acks != 0 {
 		t.Fatalf("sent %d acks inside the burst, want 0 (coalesced)", acks)
@@ -64,7 +64,7 @@ func TestAckCoalescing(t *testing.T) {
 	// A burst of 16 fills the window: the cap ack leaves inside the burst,
 	// and the end of the burst has nothing left to ack.
 	for i := uint64(4); i < 20; i++ {
-		b.HandleApp(seq, Seqd(entry(0, i, px, i)))
+		b.HandleApp(seq, seqd(entry(0, i, px, i)))
 	}
 	if acks, last := countAcks(fn.takeSent()); acks != 1 || last != 19 {
 		t.Fatalf("16-entry burst sent %d acks (last seq %d), want exactly 1 covering 19", acks, last)
@@ -91,7 +91,7 @@ func pubBatches(sent []fakeSend) []PubBatch {
 // quiet group), proposals arriving while a batch is in flight accumulate
 // and leave as ONE PubBatch when the pipeline drains, the entry cap
 // flushes early, and a non-sequencer arms no end-of-burst flush — its
-// stragglers leave with the next pipeline drain, never as individual Pubs.
+// stragglers leave with the next pipeline drain.
 func TestGroupCommitOriginBatching(t *testing.T) {
 	fn := &fakeNode{id: proc("p2")}
 	b := New(fn, Config{Batch: BatchConfig{MaxEntries: 4}})
@@ -160,7 +160,7 @@ func TestGroupCommitOriginBatching(t *testing.T) {
 		t.Fatalf("non-sequencer armed %d end-of-burst flushes", len(fn.runq))
 	}
 	// The seven in-flight pubs coming home drain the pipeline, and the
-	// straggler leaves as a batch, not a Pub.
+	// straggler leaves behind them.
 	var home []SeqdItem
 	for id := uint64(2); id <= 8; id++ {
 		home = append(home, SeqdItem{Origin: b.self, PubID: id, Body: []byte{0}})
@@ -307,14 +307,17 @@ func TestStableAdvanceAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestBatchCapOneIsLegacyWire pins the degenerate case: MaxEntries ≤ 1
-// keeps the exact unbatched vocabulary — individual Pub and Seqd frames,
-// an AckSeq per delivery, standalone Stable broadcasts, and no batch
-// frames or deferred flushes anywhere.
-func TestBatchCapOneIsLegacyWire(t *testing.T) {
-	// Origin side: each proposal leaves immediately as its own Pub.
+// TestBatchCapOneIsBatchOfOne pins the cap-1 wire: the same frames as any
+// cap, one entry at a time — a PubBatch per proposal, a SeqdBatch per
+// pub, and at AckConfig{Every: 1} an AckSeq per delivery. Stability
+// piggybacks on the next SeqdBatch or leaves alone at the end of the
+// burst.
+func TestBatchCapOneIsBatchOfOne(t *testing.T) {
+	cfg := Config{Batch: BatchConfig{MaxEntries: 1}, Ack: AckConfig{Every: 1}}
+	// Origin side: each proposal leaves at once as its own PubBatch, busy
+	// pipeline or not.
 	fn := &fakeNode{id: proc("p2")}
-	b := New(fn, Config{Batch: BatchConfig{MaxEntries: 1}})
+	b := New(fn, cfg)
 	seq := syncAsMember(b, fn, 0)
 	for i := 0; i < 3; i++ {
 		b.Propose([]byte{byte(i)}, nil)
@@ -322,47 +325,65 @@ func TestBatchCapOneIsLegacyWire(t *testing.T) {
 	fn.endBurst()
 	sent := fn.takeSent()
 	if len(sent) != 3 {
-		t.Fatalf("3 proposals sent %d frames, want 3 individual Pubs", len(sent))
+		t.Fatalf("3 proposals sent %d frames, want 3 PubBatches", len(sent))
 	}
 	for i, s := range sent {
-		if p, ok := s.payload.(Pub); !ok || p.PubID != uint64(i+1) {
-			t.Fatalf("frame %d = %+v, want Pub %d", i, s.payload, i+1)
+		if pb, ok := s.payload.(PubBatch); !ok || len(pb.Pubs) != 1 || pb.Pubs[0].PubID != uint64(i+1) {
+			t.Fatalf("frame %d = %+v, want a PubBatch of pub %d alone", i, s.payload, i+1)
 		}
 	}
-	// Delivery side: one AckSeq per Seqd, immediately.
+	// Delivery side: one AckSeq per delivery, immediately.
 	px := proc("p9")
-	b.HandleApp(seq, Seqd(entry(0, 1, px, 1)))
-	b.HandleApp(seq, Seqd(entry(0, 2, px, 2)))
+	b.HandleApp(seq, seqd(entry(0, 1, px, 1)))
+	b.HandleApp(seq, seqd(entry(0, 2, px, 2)))
 	if acks, last := countAcks(fn.takeSent()); acks != 2 || last != 2 {
 		t.Fatalf("2 deliveries sent %d acks (last %d), want one per entry", acks, last)
 	}
 	if len(fn.runq) != 0 {
-		t.Fatalf("legacy path armed %d end-of-burst flushes", len(fn.runq))
+		t.Fatalf("member armed %d end-of-burst flushes", len(fn.runq))
 	}
 
-	// Sequencer side: Pub in → Seqd out, Stable broadcast on ack.
+	// Sequencer side: each pub, remote or own, leaves as its own
+	// SeqdBatch.
 	sn := &fakeNode{id: proc("p1")}
-	sq := New(sn, Config{Batch: BatchConfig{MaxEntries: 1}})
+	sq := New(sn, cfg)
 	p2 := proc("p2")
 	syncAsSequencer(t, sq, sn, 0, p2)
-	sq.HandleApp(p2, Pub{Origin: p2, PubID: 1, Body: []byte("x")})
+	sq.HandleApp(p2, PubBatch{Origin: p2, Pubs: []PubItem{{PubID: 1, Body: []byte("x")}}})
+	sq.Propose([]byte("y"), nil)
+	sq.Propose([]byte("z"), nil)
+	sn.endBurst()
 	sent = sn.takeSent()
-	if len(sent) != 1 {
-		t.Fatalf("sequencing one pub sent %d frames, want 1 Seqd", len(sent))
+	if len(sent) != 3 {
+		t.Fatalf("sequencing three pubs sent %d frames, want 3 SeqdBatches", len(sent))
 	}
-	if s, ok := sent[0].payload.(Seqd); !ok || s.Seq != 1 {
-		t.Fatalf("frame = %+v, want Seqd at slot 1", sent[0].payload)
+	for i, s := range sent {
+		if sb, ok := s.payload.(SeqdBatch); !ok || sb.FirstSeq != uint64(i+1) || len(sb.Entries) != 1 {
+			t.Fatalf("frame %d = %+v, want a SeqdBatch of slot %d alone", i, s.payload, i+1)
+		}
 	}
+	// An ack advances the frontier; the burst's next SeqdBatch carries it.
 	sq.HandleApp(p2, AckSeq{Ver: 0, Seq: 1})
+	sq.HandleApp(p2, PubBatch{Origin: p2, Pubs: []PubItem{{PubID: 2, Body: []byte("w")}}})
 	sent = sn.takeSent()
 	if len(sent) != 1 {
-		t.Fatalf("stability advance sent %d frames, want 1 Stable broadcast", len(sent))
+		t.Fatalf("ack then pub sent %d frames, want 1 SeqdBatch", len(sent))
 	}
-	if st, ok := sent[0].payload.(Stable); !ok || st.Seq != 1 {
-		t.Fatalf("frame = %+v, want Stable 1", sent[0].payload)
+	if sb, ok := sent[0].payload.(SeqdBatch); !ok || sb.FirstSeq != 4 || sb.Stable != 1 {
+		t.Fatalf("frame = %+v, want a SeqdBatch at slot 4 carrying stable 1", sent[0].payload)
 	}
-	if n := sq.stats.SeqdBatches.Load() + sq.stats.PubBatches.Load() + sq.stats.StablePiggybacked.Load(); n != 0 {
-		t.Fatalf("legacy wire used %d batch-path operations", n)
+	// A frontier no SeqdBatch carries leaves alone at the end of the burst.
+	sq.HandleApp(p2, AckSeq{Ver: 0, Seq: 4})
+	sn.endBurst()
+	sent = sn.takeSent()
+	if len(sent) != 1 {
+		t.Fatalf("end of burst sent %d frames, want 1 Stable", len(sent))
+	}
+	if st, ok := sent[0].payload.(Stable); !ok || st.Seq != 4 {
+		t.Fatalf("frame = %+v, want Stable 4", sent[0].payload)
+	}
+	if got := sq.stats.BatchHist[0].Load(); got != 4 || sq.stats.SeqdBatches.Load() != 4 {
+		t.Fatalf("%d of %d SeqdBatches had one entry, want all 4", got, sq.stats.SeqdBatches.Load())
 	}
 }
 
@@ -381,7 +402,7 @@ func TestFenceReleasesOnlyAtStability(t *testing.T) {
 	}
 
 	px := proc("p9")
-	b.HandleApp(seq, Seqd(entry(0, 1, px, 1)))
+	b.HandleApp(seq, seqd(entry(0, 1, px, 1)))
 	b.Fence(func() { released++ })
 	if released != 1 {
 		t.Fatal("fence released while its prefix was unstable")
@@ -400,7 +421,7 @@ func TestFenceRetargetsAcrossViewChange(t *testing.T) {
 	b := New(fn, Config{})
 	seq := syncAsMember(b, fn, 0)
 	px := proc("p9")
-	b.HandleApp(seq, Seqd(entry(0, 1, px, 1)))
+	b.HandleApp(seq, seqd(entry(0, 1, px, 1)))
 
 	released := 0
 	b.Fence(func() { released++ })
@@ -421,14 +442,14 @@ func TestFenceRetargetsAcrossViewChange(t *testing.T) {
 	}
 }
 
-// --- batched vs unbatched equivalence ---------------------------------------
+// --- cap 1 vs cap 4 equivalence ---------------------------------------------
 
 // simNet wires Broadcasters through in-memory inboxes under a seeded
 // scheduler: one envelope at a time, the node chosen by the rng. An
 // inbox models the live mailbox: frames from peers and Run tasks share
 // one FIFO, so a Run posted during dispatch runs after everything already
-// queued. Deterministic for a given seed, so the batched and unbatched
-// arms replay the identical script.
+// queued. Deterministic for a given seed, so the cap-1 and cap-4 arms
+// replay the identical script.
 type simNet struct {
 	rng   *rand.Rand
 	order []ids.ProcID
@@ -571,8 +592,9 @@ func runGroupCommitSim(t *testing.T, seed int64, cfg Config) (map[ids.ProcID][]C
 }
 
 // TestBatchedMatchesUnbatchedUnderViewChanges is the cross-mode property
-// test: for each seed, a batched and an unbatched run of the same script
-// (same proposals, same sequencer crash, same scheduler randomness) must
+// test: for each seed, a cap-4 and a cap-1 (batch of one, ack per
+// delivery) run of the same script (same proposals, same sequencer crash,
+// same scheduler randomness) must
 // (a) keep every survivor's applied sequence identical within the run,
 // (b) respect per-origin FIFO with no duplicates, (c) lose no acked
 // command, and (d) deliver the same survivor-origin command set in both
@@ -580,13 +602,16 @@ func runGroupCommitSim(t *testing.T, seed int64, cfg Config) (map[ids.ProcID][]C
 // but it must not add, drop, or reorder any origin's own commands.
 func TestBatchedMatchesUnbatchedUnderViewChanges(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
-		unb, unbAcked := runGroupCommitSim(t, seed, Config{})
+		unb, unbAcked := runGroupCommitSim(t, seed, Config{
+			Batch: BatchConfig{MaxEntries: 1},
+			Ack:   AckConfig{Every: 1},
+		})
 		bat, batAcked := runGroupCommitSim(t, seed, Config{
 			Batch: BatchConfig{MaxEntries: 4},
 			Ack:   AckConfig{Every: 4},
 		})
 
-		for name, run := range map[string]map[ids.ProcID][]CmdKey{"unbatched": unb, "batched": bat} {
+		for name, run := range map[string]map[ids.ProcID][]CmdKey{"cap 1": unb, "cap 4": bat} {
 			var ref []CmdKey
 			var refP ids.ProcID
 			first := true
@@ -618,7 +643,7 @@ func TestBatchedMatchesUnbatchedUnderViewChanges(t *testing.T) {
 		for name, pair := range map[string]struct {
 			acked map[CmdKey]bool
 			run   map[ids.ProcID][]CmdKey
-		}{"unbatched": {unbAcked, unb}, "batched": {batAcked, bat}} {
+		}{"cap 1": {unbAcked, unb}, "cap 4": {batAcked, bat}} {
 			for p, seq := range pair.run {
 				have := make(map[CmdKey]bool, len(seq))
 				for _, k := range seq {
@@ -645,7 +670,7 @@ func TestBatchedMatchesUnbatchedUnderViewChanges(t *testing.T) {
 			return out
 		}
 		if a, b := setOf(unb), setOf(bat); !reflect.DeepEqual(a, b) {
-			t.Fatalf("seed %d: survivor-origin delivery sets differ between modes:\nunbatched %v\nbatched  %v", seed, a, b)
+			t.Fatalf("seed %d: survivor-origin delivery sets differ between modes:\ncap 1 %v\ncap 4 %v", seed, a, b)
 		}
 	}
 }

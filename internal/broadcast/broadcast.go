@@ -26,13 +26,11 @@ type Msg struct {
 // BatchConfig tunes group commit on the origin→sequencer leg: queued
 // Propose bodies coalesce into one PubBatch frame, flushed when a cap
 // trips, when the origin's pipeline drains, or — on the sequencer — at
-// the end of the event-loop burst (DESIGN.md §12). MaxEntries ≤ 1
-// disables batching entirely — every Propose sends an individual Pub, the
-// sequencer fans out individual Seqds and separate Stable broadcasts,
-// reproducing the unbatched wire exactly (the degenerate case the A/B
-// benchmarks pin).
+// the end of the event-loop burst (DESIGN.md §12). A zero field takes its
+// default. MaxEntries 1 (or less) is a batch of one: one PubBatch per
+// proposal and one SeqdBatch per pub.
 type BatchConfig struct {
-	// MaxEntries flushes the queue at this many proposals (≤ 1 = off).
+	// MaxEntries flushes the queue at this many proposals (default 128).
 	MaxEntries int
 	// MaxBytes flushes the queue at this many queued body bytes
 	// (default 256 KiB; stays well under the transport's frame cap).
@@ -41,12 +39,12 @@ type BatchConfig struct {
 
 // AckConfig coalesces the member→sequencer delivery acks. Acks are
 // cumulative, so one ack covering B entries carries exactly the
-// information of B per-entry acks — the unbatched wire's ack-per-Seqd is
-// pure storm. Every ≤ 1 keeps the legacy ack-per-delivery behavior.
+// information of B per-entry acks.
 type AckConfig struct {
 	// Every sends the cumulative ack once this many deliveries are
-	// unacknowledged; a smaller remainder is acked at the end of the
-	// event-loop burst that delivered it.
+	// unacknowledged (default 16; 1 or less acks every delivery); a
+	// smaller remainder is acked at the end of the event-loop burst that
+	// delivered it.
 	Every int
 }
 
@@ -71,11 +69,9 @@ type Config struct {
 	// installed yet (default 4096); beyond it new arrivals are dropped
 	// and counted (senders recover by the usual resubmission paths).
 	MaxBuffered int
-	// Batch enables group commit (see BatchConfig). The zero value is
-	// the unbatched legacy wire.
+	// Batch tunes group commit (see BatchConfig).
 	Batch BatchConfig
-	// Ack coalesces delivery acks (see AckConfig). The zero value acks
-	// every delivery immediately, the legacy behavior.
+	// Ack coalesces delivery acks (see AckConfig).
 	Ack AckConfig
 }
 
@@ -197,9 +193,9 @@ func histBucket(n int) int {
 // Broadcaster delivers totally-ordered messages within installed views:
 // the view's coordinator sequences, every install triggers a flush
 // barrier and state transfer (DESIGN.md §11), and messages for views not
-// yet installed locally are buffered for redelivery. With Batch set it
-// runs the group-commit wire (DESIGN.md §12): origins coalesce proposals
-// into PubBatch frames, the sequencer assigns contiguous slot ranges and
+// yet installed locally are buffered for redelivery. It runs the
+// group-commit wire (DESIGN.md §12): origins coalesce proposals into
+// PubBatch frames, the sequencer assigns contiguous slot ranges and
 // fans out SeqdBatch frames carrying the stability frontier, and members
 // ack coalesced. It implements live.AppHook; attach one per node via
 // live.Options.App. All state is loop-owned — only Propose and the Stats
@@ -209,8 +205,6 @@ type Broadcaster struct {
 	cfg   Config
 	self  ids.ProcID
 	stats Stats
-
-	batching bool // cfg.Batch.MaxEntries > 1
 
 	installed  bool
 	ver        uint64 // current installed view version
@@ -232,13 +226,13 @@ type Broadcaster struct {
 	future  map[uint64][]futureMsg // ver → messages parked until that install
 	futureN int
 	preSync []futureMsg // current-view traffic arriving before sync (defensive)
-	pubHold []Pub       // pubs held while this node is the (un-synced) sequencer
+	pubHold []heldPub   // pubs held while this node is the (un-synced) sequencer
 
 	// origin state
 	nextPub  uint64
 	inflight map[uint64]*pubState
 
-	// origin group-commit queue (batching only): pubIDs awaiting a flush
+	// origin group-commit queue: pubIDs awaiting a flush
 	pubQueue      []uint64
 	pubQueueBytes int
 	pubsUnseqd    int // own pubs shipped but not yet slotted (pipeline depth)
@@ -270,6 +264,12 @@ type fence struct {
 	fn  func()
 }
 
+// heldPub is one pub parked at a sequencer that cannot slot it yet.
+type heldPub struct {
+	origin ids.ProcID
+	item   PubItem
+}
+
 type futureMsg struct {
 	from    ids.ProcID
 	payload any
@@ -287,17 +287,29 @@ type pubState struct {
 //		return broadcast.New(n, cfg)
 //	}
 func New(n live.AppNode, cfg Config) *Broadcaster {
+	// The group-commit defaults are the configuration the benchmarks
+	// measure: a user gets the fast path without setting a knob.
+	const (
+		defaultMaxEntries = 128
+		defaultMaxBytes   = 256 << 10
+		defaultAckEvery   = 16
+	)
 	if cfg.MaxBuffered <= 0 {
 		cfg.MaxBuffered = 4096
 	}
-	if cfg.Batch.MaxEntries > 1 && cfg.Batch.MaxBytes <= 0 {
-		cfg.Batch.MaxBytes = 256 << 10
+	if cfg.Batch.MaxEntries == 0 {
+		cfg.Batch.MaxEntries = defaultMaxEntries
+	}
+	if cfg.Batch.MaxBytes <= 0 {
+		cfg.Batch.MaxBytes = defaultMaxBytes
+	}
+	if cfg.Ack.Every == 0 {
+		cfg.Ack.Every = defaultAckEvery
 	}
 	b := &Broadcaster{
 		n:        n,
 		cfg:      cfg,
 		self:     n.ID(),
-		batching: cfg.Batch.MaxEntries > 1,
 		pending:  make(map[uint64]Entry),
 		applied:  make(map[ids.ProcID]uint64),
 		future:   make(map[uint64][]futureMsg),
@@ -325,7 +337,7 @@ func (b *Broadcaster) Propose(body []byte, done func(pubID uint64, err error)) {
 		p := &pubState{body: body, done: done}
 		b.inflight[id] = p
 		if b.installed && b.synced {
-			b.sendPub(id, p)
+			b.enqueuePub(id, len(body))
 		}
 		// Not synced yet: afterSync's resubmission sweep picks it up.
 	})
@@ -353,23 +365,6 @@ func (b *Broadcaster) Fence(fn func()) {
 		seq = b.next - 1
 	}
 	b.fences = append(b.fences, fence{seq: seq, fn: fn})
-}
-
-func (b *Broadcaster) sendPub(id uint64, p *pubState) {
-	if b.batching {
-		b.enqueuePub(id, len(p.body))
-		return
-	}
-	pub := Pub{Origin: b.self, PubID: id, Body: p.body}
-	if b.isSeq {
-		if b.synced {
-			b.sequence(pub)
-		} else {
-			b.pubHold = append(b.pubHold, pub)
-		}
-		return
-	}
-	b.n.Send(b.seqID, pub)
 }
 
 // enqueuePub queues one proposal for the next group-commit flush. The
@@ -466,14 +461,8 @@ func (b *Broadcaster) flushPubs() {
 // HandleApp routes one received broadcast payload (event loop).
 func (b *Broadcaster) HandleApp(from ids.ProcID, payload any) {
 	switch m := payload.(type) {
-	case Pub:
-		b.onPub(m)
 	case PubBatch:
 		b.onPubBatch(m)
-	case Seqd:
-		if b.route(m.Ver, from, payload) {
-			b.onSeqd(m)
-		}
 	case SeqdBatch:
 		if b.route(m.Ver, from, payload) {
 			b.onSeqdBatch(m)
@@ -500,7 +489,7 @@ func (b *Broadcaster) HandleApp(from ids.ProcID, payload any) {
 // route files a view-tagged payload: current view → handle now (true);
 // future view → park in the view-change buffer; past view → drop. The
 // buffer preserves arrival order per view, so per-channel FIFO survives
-// parking (a ViewSync always replays before the Seqds behind it).
+// parking (a ViewSync always replays before the SeqdBatches behind it).
 func (b *Broadcaster) route(ver uint64, from ids.ProcID, payload any) bool {
 	if b.installed && ver == b.ver {
 		return true
@@ -639,21 +628,9 @@ func (b *Broadcaster) drainFuture(v uint64) {
 
 // --- order processing --------------------------------------------------------
 
-func (b *Broadcaster) onSeqd(m Seqd) {
-	if !b.synced {
-		b.preSync = append(b.preSync, futureMsg{from: m.Origin, payload: m})
-		return
-	}
-	b.processEntry(Entry(m))
-	if !b.isSeq {
-		b.maybeAck()
-	}
-}
-
 // onSeqdBatch files one contiguous slot range of the current view's
 // order, acks the whole range at most once, then folds in the piggybacked
-// stability frontier — the same order (entries, ack, stable) the
-// unbatched wire produces with individual frames.
+// stability frontier.
 func (b *Broadcaster) onSeqdBatch(m SeqdBatch) {
 	if !b.synced {
 		b.preSync = append(b.preSync, futureMsg{payload: m})
@@ -672,7 +649,7 @@ func (b *Broadcaster) onSeqdBatch(m SeqdBatch) {
 
 // maybeAck implements ack coalescing: send the cumulative ack once Every
 // deliveries are pending, otherwise at the end of the burst. With Every ≤
-// 1 every delivery acks immediately (legacy).
+// 1 every delivery acks immediately.
 func (b *Broadcaster) maybeAck() {
 	if b.ackLast >= b.next-1 {
 		return
@@ -793,19 +770,6 @@ func (b *Broadcaster) setStable(s uint64) {
 
 // --- sequencer ---------------------------------------------------------------
 
-func (b *Broadcaster) onPub(p Pub) {
-	if b.installed && b.isSeq && b.synced {
-		if b.batching {
-			b.sequenceBatch(p.Origin, []PubItem{{PubID: p.PubID, Body: p.Body}})
-			b.flushOwnAlong()
-		} else {
-			b.sequence(p)
-		}
-		return
-	}
-	b.holdPub(p)
-}
-
 func (b *Broadcaster) onPubBatch(pb PubBatch) {
 	if b.installed && b.isSeq && b.synced {
 		b.sequenceBatch(pb.Origin, pb.Pubs)
@@ -813,7 +777,7 @@ func (b *Broadcaster) onPubBatch(pb PubBatch) {
 		return
 	}
 	for _, it := range pb.Pubs {
-		b.holdPub(Pub{Origin: pb.Origin, PubID: it.PubID, Body: it.Body})
+		b.holdPub(heldPub{origin: pb.Origin, item: it})
 	}
 }
 
@@ -830,7 +794,7 @@ func (b *Broadcaster) flushOwnAlong() {
 // holdPub parks a pub: this node may be (or become) the sequencer
 // mid-sync. Pubs held across a view change where it is not are discarded
 // — origins resubmit on their own installs.
-func (b *Broadcaster) holdPub(p Pub) {
+func (b *Broadcaster) holdPub(p heldPub) {
 	if len(b.pubHold) < b.cfg.MaxBuffered {
 		b.pubHold = append(b.pubHold, p)
 	} else {
@@ -838,34 +802,14 @@ func (b *Broadcaster) holdPub(p Pub) {
 	}
 }
 
-// sequence assigns the next order slot to a fresh pub and fans it out as
-// an individual Seqd — the unbatched wire. The per-origin frontier is a
-// complete duplicate filter: pubs arrive and are re-submitted in PubID
-// order, so each origin's sequenced set is always a PubID prefix and one
-// max suffices.
-func (b *Broadcaster) sequence(p Pub) {
-	if p.PubID <= b.applied[p.Origin] {
-		return // duplicate (resubmission raced the original)
-	}
-	en := Entry{Ver: b.ver, Seq: b.seqNext, Origin: p.Origin, PubID: p.PubID, Body: p.Body}
-	b.seqNext++
-	b.stats.Sequenced.Add(1)
-	for _, m := range b.members {
-		if m != b.self {
-			b.n.Send(m, Seqd(en))
-		}
-	}
-	b.processEntry(en)
-	b.noteAck(b.self, b.next-1)
-}
-
 // sequenceBatch is the group-commit sequencing step: filter duplicates,
 // assign one contiguous slot range to everything fresh, and fan the range
 // out as a single SeqdBatch carrying the current stability frontier.
 func (b *Broadcaster) sequenceBatch(origin ids.ProcID, items []PubItem) {
 	// Items arrive in PubID order (FIFO channels, sorted resubmission),
-	// so one frontier comparison per item is a complete duplicate filter,
-	// and filtering first keeps the assigned range contiguous.
+	// so each origin's sequenced set is always a PubID prefix: one
+	// frontier comparison per item is a complete duplicate filter, and
+	// filtering first keeps the assigned range contiguous.
 	keep := 0
 	for _, it := range items {
 		if it.PubID > b.applied[origin] {
@@ -917,9 +861,9 @@ func (b *Broadcaster) noteAck(from ids.ProcID, s uint64) {
 
 // advanceStable recomputes the stability frontier: the minimum contiguous
 // ack over every member of the view. Crossing it triggers the Stable
-// fan-out that lets everyone prune and ack — broadcast immediately on the
-// unbatched wire, piggybacked on a SeqdBatch under group commit, or sent
-// alone at the end of the burst when no SeqdBatch carried it.
+// fan-out that lets everyone prune and ack — piggybacked on the next
+// SeqdBatch, or sent alone at the end of the burst when no SeqdBatch
+// carried it.
 func (b *Broadcaster) advanceStable() {
 	min := ^uint64(0)
 	for _, m := range b.members {
@@ -931,10 +875,6 @@ func (b *Broadcaster) advanceStable() {
 		return
 	}
 	b.setStable(min)
-	if !b.batching {
-		b.broadcastStable()
-		return
-	}
 	b.stableDirty = true
 	b.armFlush()
 }
@@ -1107,18 +1047,14 @@ func (b *Broadcaster) afterSync() {
 			}
 		default:
 			b.stats.Resubmits.Add(1)
-			b.sendPub(id, p)
+			b.enqueuePub(id, len(p.body))
 		}
 	}
 	if b.isSeq {
 		hold := b.pubHold
 		b.pubHold = nil
-		for _, p := range hold {
-			if b.batching {
-				b.sequenceBatch(p.Origin, []PubItem{{PubID: p.PubID, Body: p.Body}})
-			} else {
-				b.sequence(p)
-			}
+		for _, h := range hold {
+			b.sequenceBatch(h.origin, []PubItem{h.item})
 		}
 	}
 	pre := b.preSync

@@ -47,6 +47,11 @@ func entry(ver, seq uint64, origin ids.ProcID, pubID uint64) Entry {
 	return Entry{Ver: ver, Seq: seq, Origin: origin, PubID: pubID, Body: []byte{byte(pubID)}}
 }
 
+// seqd is the sequencer's fan-out of one entry: a SeqdBatch of one.
+func seqd(en Entry) SeqdBatch {
+	return SeqdBatch{Ver: en.Ver, FirstSeq: en.Seq, Entries: []SeqdItem{{Origin: en.Origin, PubID: en.PubID, Body: en.Body}}}
+}
+
 func TestFutureViewBufferReplaysInOrder(t *testing.T) {
 	fn := &fakeNode{id: proc("p2")}
 	var got []Msg
@@ -68,8 +73,8 @@ func TestFutureViewBufferReplaysInOrder(t *testing.T) {
 	// Traffic for view 2, which this member has not installed: the whole
 	// tail must park in the view-change buffer, per-channel order intact.
 	b.HandleApp(seq, ViewSync{Ver: 2, Entries: []Entry{entry(2, 1, px, 1), entry(2, 2, px, 2)}})
-	b.HandleApp(seq, Seqd(entry(2, 3, px, 3)))
-	b.HandleApp(seq, Seqd(entry(2, 4, px, 4)))
+	b.HandleApp(seq, seqd(entry(2, 3, px, 3)))
+	b.HandleApp(seq, seqd(entry(2, 4, px, 4)))
 	if n := b.stats.BufferedFuture.Load(); n != 3 {
 		t.Fatalf("BufferedFuture = %d, want 3", n)
 	}
@@ -79,9 +84,9 @@ func TestFutureViewBufferReplaysInOrder(t *testing.T) {
 
 	// Current-view traffic still flows around the parked tail.
 	py := proc("p8")
-	b.HandleApp(seq, Seqd(entry(0, 1, py, 1)))
+	b.HandleApp(seq, seqd(entry(0, 1, py, 1)))
 	if len(got) != 1 || got[0].Origin != py {
-		t.Fatalf("current-view Seqd not delivered, got %v", got)
+		t.Fatalf("current-view SeqdBatch not delivered, got %v", got)
 	}
 
 	// Installing view 1 must not leak view-2 traffic...
@@ -90,7 +95,7 @@ func TestFutureViewBufferReplaysInOrder(t *testing.T) {
 		t.Fatalf("view-2 traffic replayed at view 1: %v", got)
 	}
 	// ...installing view 2 replays it: ViewSync first (it arrived first),
-	// then the Seqds behind it, delivering px 1..4 in order.
+	// then the SeqdBatches behind it, delivering px 1..4 in order.
 	b.HandleInstall(2, members)
 	if len(got) != 5 {
 		t.Fatalf("replay delivered %d messages, want 5: %v", len(got), got)
@@ -112,7 +117,7 @@ func TestStaleViewTrafficDropped(t *testing.T) {
 	b.HandleApp(seq, ViewSync{Ver: 3, HasSnap: true})
 
 	px := proc("p9")
-	b.HandleApp(seq, Seqd(entry(1, 1, px, 1)))
+	b.HandleApp(seq, seqd(entry(1, 1, px, 1)))
 	b.HandleApp(seq, Stable{Ver: 2, Seq: 5})
 	b.HandleApp(seq, ViewSync{Ver: 1})
 	if n := b.stats.DroppedStale.Load(); n != 3 {
@@ -130,7 +135,7 @@ func TestFutureBufferOverflowCapped(t *testing.T) {
 	b.HandleInstall(0, []ids.ProcID{seq, proc("p2")})
 	px := proc("p9")
 	for i := 0; i < 20; i++ {
-		b.HandleApp(seq, Seqd(entry(5, uint64(i+1), px, uint64(i+1))))
+		b.HandleApp(seq, seqd(entry(5, uint64(i+1), px, uint64(i+1))))
 	}
 	if n := b.stats.BufferedFuture.Load(); n != 8 {
 		t.Fatalf("BufferedFuture = %d, want cap 8", n)
@@ -155,11 +160,11 @@ func TestFutureBufferOverflowEvictsFarthestFirst(t *testing.T) {
 
 	px := proc("p9")
 	for i := 0; i < 8; i++ {
-		b.HandleApp(seq, Seqd(entry(9, uint64(i+1), px, uint64(i+1))))
+		b.HandleApp(seq, seqd(entry(9, uint64(i+1), px, uint64(i+1))))
 	}
 	// The near-future view's sync + first entry arrive at a full buffer.
 	b.HandleApp(seq, ViewSync{Ver: 1, Entries: []Entry{entry(1, 1, px, 41)}})
-	b.HandleApp(seq, Seqd(entry(1, 2, px, 42)))
+	b.HandleApp(seq, seqd(entry(1, 2, px, 42)))
 
 	if n := b.futureN; n != 8 {
 		t.Fatalf("futureN = %d, want cap 8", n)
@@ -175,7 +180,7 @@ func TestFutureBufferOverflowEvictsFarthestFirst(t *testing.T) {
 		t.Fatalf("OverflowDist[1] = %d, want 0 — the near-future frames must not be the drops", n)
 	}
 
-	// Install view 1: the parked ViewSync and Seqd replay in order.
+	// Install view 1: the parked ViewSync and SeqdBatch replay in order.
 	b.HandleInstall(1, members)
 	if len(got) != 2 || got[0].PubID != 41 || got[1].PubID != 42 {
 		t.Fatalf("view-1 replay delivered %v, want px/41 then px/42", got)
@@ -187,8 +192,8 @@ func TestFutureBufferOverflowEvictsFarthestFirst(t *testing.T) {
 		t.Fatalf("view-9 buffer holds %d frames, want 6", len(q))
 	} else {
 		for i, fm := range q {
-			if e := fm.payload.(Seqd); e.Seq != uint64(i+1) {
-				t.Fatalf("view-9 survivor %d has seq %d, want %d (FIFO prefix broken)", i, e.Seq, i+1)
+			if e := fm.payload.(SeqdBatch); e.FirstSeq != uint64(i+1) {
+				t.Fatalf("view-9 survivor %d has seq %d, want %d (FIFO prefix broken)", i, e.FirstSeq, i+1)
 			}
 		}
 	}
@@ -203,9 +208,9 @@ func TestFutureBufferOverflowFarIncomingStillDropped(t *testing.T) {
 	b.HandleInstall(0, []ids.ProcID{seq, proc("p2")})
 	px := proc("p9")
 	for i := 0; i < 4; i++ {
-		b.HandleApp(seq, Seqd(entry(3, uint64(i+1), px, uint64(i+1))))
+		b.HandleApp(seq, seqd(entry(3, uint64(i+1), px, uint64(i+1))))
 	}
-	b.HandleApp(seq, Seqd(entry(7, 1, px, 9)))
+	b.HandleApp(seq, seqd(entry(7, 1, px, 9)))
 	if _, ok := b.future[7]; ok {
 		t.Fatal("farther-future frame displaced nearer parked traffic")
 	}
@@ -230,11 +235,11 @@ func TestSkippedInstallDropsIntermediateBuffer(t *testing.T) {
 	b.HandleApp(seq, ViewSync{Ver: 0, HasSnap: true})
 
 	px := proc("p9")
-	b.HandleApp(seq, Seqd(entry(1, 1, px, 1)))                               // for skipped view 1
+	b.HandleApp(seq, seqd(entry(1, 1, px, 1)))                               // for skipped view 1
 	b.HandleApp(seq, ViewSync{Ver: 3, Entries: []Entry{entry(3, 1, px, 7)}}) // for view 3
 	b.HandleInstall(3, members)
 	if n := b.stats.DroppedStale.Load(); n != 1 {
-		t.Fatalf("DroppedStale = %d, want 1 (the view-1 Seqd)", n)
+		t.Fatalf("DroppedStale = %d, want 1 (the view-1 SeqdBatch)", n)
 	}
 	if len(got) != 1 || got[0].PubID != 7 {
 		t.Fatalf("view-3 replay delivered %v, want exactly px/7", got)
@@ -270,7 +275,7 @@ func TestFutureBufferProperty(t *testing.T) {
 			var script []any
 			seqNo := uint64(0)
 			// The view opens with its ViewSync carrying a random prefix
-			// of its entries; the rest follow as Seqds.
+			// of its entries; the rest follow as SeqdBatches.
 			nSync := rng.Intn(nmsg + 1)
 			for i := 0; i < nmsg; i++ {
 				pub++
@@ -280,7 +285,7 @@ func TestFutureBufferProperty(t *testing.T) {
 				if i < nSync {
 					ents = append(ents, e)
 				} else {
-					script = append(script, Seqd(e))
+					script = append(script, seqd(e))
 				}
 			}
 			scripts[v] = append([]any{ViewSync{Ver: ver, Entries: ents}}, script...)
@@ -341,9 +346,9 @@ func TestProposeBeforeFirstInstallIsHeldThenSent(t *testing.T) {
 	b.HandleApp(seq, ViewSync{Ver: 0, HasSnap: true})
 	var pubs int
 	for _, s := range fn.takeSent() {
-		if p, ok := s.payload.(Pub); ok {
-			pubs++
-			if s.to != seq || p.PubID != 1 {
+		if pb, ok := s.payload.(PubBatch); ok {
+			pubs += len(pb.Pubs)
+			if s.to != seq || len(pb.Pubs) != 1 || pb.Pubs[0].PubID != 1 {
 				t.Fatalf("pub resubmitted wrong: %+v", s)
 			}
 		}
@@ -355,7 +360,7 @@ func TestProposeBeforeFirstInstallIsHeldThenSent(t *testing.T) {
 		t.Fatal("proposal acked without stability")
 	}
 	// Sequence comes back, then stability: the ack fires only at Stable.
-	b.HandleApp(seq, Seqd(entry(0, 1, proc("p2"), 1)))
+	b.HandleApp(seq, seqd(entry(0, 1, proc("p2"), 1)))
 	if done != 0 {
 		t.Fatal("proposal acked at delivery; stability is the contract")
 	}

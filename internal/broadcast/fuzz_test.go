@@ -61,8 +61,11 @@ func FuzzReadBatch(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := transport.ReadFrame(bytes.NewReader(data))
-		if err != nil || fr.Body == nil {
+		if err != nil {
 			return
+		}
+		if fr.Body == nil {
+			t.Fatalf("decoded frame has no body: %#v", fr)
 		}
 		if _, err := transport.EncodeFrame(fr); err != nil {
 			t.Fatalf("decoded frame does not re-encode: %v (%#v)", err, fr)

@@ -8,10 +8,10 @@ import (
 )
 
 // Wire kind tags for the broadcast vocabulary, in the substrate range
-// (≥ 16) next to live's Heartbeat (16) and SuspicionDigest (17).
+// (≥ 16) next to live's Heartbeat (16) and SuspicionDigest (17). Kinds 18
+// and 19 carried the retired unbatched Pub and Seqd frames; they stay
+// unassigned so an old frame decodes as an unknown kind.
 const (
-	kindPub       = 18
-	kindSeqd      = 19
 	kindAckSeq    = 20
 	kindStable    = 21
 	kindFlush     = 22
@@ -19,26 +19,6 @@ const (
 	kindPubBatch  = 24
 	kindSeqdBatch = 25
 )
-
-// Pub submits one application message to the view's sequencer. PubID is
-// the origin's own monotonic counter: the sequencer orders each origin's
-// pubs in PubID order and drops duplicates (a resubmission after a view
-// change can race the original), so a pub is sequenced at most once.
-type Pub struct {
-	Origin ids.ProcID
-	PubID  uint64
-	Body   []byte
-}
-
-// Seqd is one sequenced message, fanned out by the sequencer to every
-// view member: position Seq in view Ver's total order.
-type Seqd struct {
-	Ver    uint64
-	Seq    uint64
-	Origin ids.ProcID
-	PubID  uint64
-	Body   []byte
-}
 
 // AckSeq is a member's cumulative delivery acknowledgement: it has
 // processed view Ver's order contiguously through Seq.
@@ -64,10 +44,11 @@ type PubItem struct {
 }
 
 // PubBatch is the group-commit submission frame: every proposal an origin
-// had queued when its batcher flushed (size-, byte- or time-capped),
-// coalesced into one frame to the view's sequencer. Items are in PubID
-// order; the sequencer's per-origin duplicate filter applies to each item
-// exactly as if it had arrived as an individual Pub.
+// had queued when its batcher flushed, coalesced into one frame to the
+// view's sequencer. PubID is the origin's own monotonic counter and items
+// are in PubID order: the sequencer orders each origin's pubs by PubID and
+// drops duplicates item by item (a resubmission after a view change can
+// race the original), so a pub is sequenced at most once.
 type PubBatch struct {
 	Origin ids.ProcID
 	Pubs   []PubItem
@@ -85,8 +66,7 @@ type SeqdItem struct {
 // [FirstSeq, FirstSeq+len(Entries)) of view Ver's total order, assigned in
 // one sequencing step. Stable piggybacks the sequencer's current stability
 // frontier, replacing the separate Stable broadcast on the hot path — a
-// member processes the entries first, then folds the frontier in, exactly
-// the order the unbatched wire (Seqd… then Stable) would have delivered.
+// member processes the entries first, then folds the frontier in.
 type SeqdBatch struct {
 	Ver      uint64
 	FirstSeq uint64
@@ -107,7 +87,7 @@ type Entry struct {
 
 // Applied is one origin's applied frontier: the highest PubID of that
 // origin processed into the local order. Per-origin frontiers are exact
-// summaries because pubs are sequenced in PubID order (see Pub).
+// summaries because pubs are sequenced in PubID order (see PubBatch).
 type Applied struct {
 	Origin ids.ProcID
 	Max    uint64
@@ -130,7 +110,7 @@ type Flush struct {
 // below them, and (when some member is joining) a state snapshot that
 // those frontiers describe. Members process Entries in order — applying
 // what their own frontiers show unprocessed, skipping the rest — and only
-// then deliver new Seqd traffic for Ver.
+// then deliver new SeqdBatch traffic for Ver.
 type ViewSync struct {
 	Ver      uint64
 	Applied  []Applied
@@ -140,8 +120,6 @@ type ViewSync struct {
 }
 
 // AppTraffic marks the vocabulary for live's application routing.
-func (Pub) AppTraffic()       {}
-func (Seqd) AppTraffic()      {}
 func (AckSeq) AppTraffic()    {}
 func (Stable) AppTraffic()    {}
 func (Flush) AppTraffic()     {}
@@ -150,8 +128,6 @@ func (PubBatch) AppTraffic()  {}
 func (SeqdBatch) AppTraffic() {}
 
 // MsgLabel implements netsim.Labeled for uniform counting.
-func (Pub) MsgLabel() string       { return "B.Pub" }
-func (Seqd) MsgLabel() string      { return "B.Seqd" }
 func (AckSeq) MsgLabel() string    { return "B.AckSeq" }
 func (Stable) MsgLabel() string    { return "B.Stable" }
 func (Flush) MsgLabel() string     { return "B.Flush" }
@@ -225,36 +201,6 @@ func decEntries(d *transport.Decoder) []Entry {
 }
 
 func init() {
-	// Gob escape hatch (transports without the binary fast path).
-	transport.RegisterPayload(Pub{})
-	transport.RegisterPayload(Seqd{})
-	transport.RegisterPayload(AckSeq{})
-	transport.RegisterPayload(Stable{})
-	transport.RegisterPayload(Flush{})
-	transport.RegisterPayload(ViewSync{})
-	transport.RegisterPayload(PubBatch{})
-	transport.RegisterPayload(SeqdBatch{})
-
-	transport.RegisterBinaryPayload(kindPub, Pub{},
-		func(e *transport.Encoder, v any) {
-			p := v.(Pub)
-			encProc(e, p.Origin)
-			e.Uvarint(p.PubID)
-			e.Blob(p.Body)
-		},
-		func(d *transport.Decoder) any {
-			return Pub{Origin: decProc(d), PubID: d.Uvarint(), Body: d.Blob()}
-		})
-
-	transport.RegisterBinaryPayload(kindSeqd, Seqd{},
-		func(e *transport.Encoder, v any) {
-			s := v.(Seqd)
-			encEntry(e, Entry(s))
-		},
-		func(d *transport.Decoder) any {
-			return Seqd(decEntry(d))
-		})
-
 	transport.RegisterBinaryPayload(kindAckSeq, AckSeq{},
 		func(e *transport.Encoder, v any) {
 			a := v.(AckSeq)

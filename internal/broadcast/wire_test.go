@@ -1,20 +1,23 @@
 package broadcast
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"procgroup/internal/ids"
 	"procgroup/internal/transport"
 )
 
-// wirePayloads covers the whole broadcast vocabulary (kinds 18–25), with
+// wirePayloads covers the whole broadcast vocabulary (kinds 20–25), with
 // populated and zero-valued fields.
 func wirePayloads() []any {
 	px := ids.ProcID{Site: "p3", Incarnation: 2}
 	return []any{
-		Pub{Origin: px, PubID: 7, Body: []byte("set k v")},
-		Pub{Origin: ids.Named("p1")}, // zero PubID, nil body
 		PubBatch{Origin: px, Pubs: []PubItem{
 			{PubID: 7, Body: []byte("set k v")},
 			{PubID: 8, Body: nil}, // empty body mid-batch
@@ -27,7 +30,6 @@ func wirePayloads() []any {
 			{Origin: px, PubID: 8, Body: []byte("z")},
 		}},
 		SeqdBatch{Ver: 4}, // empty range, frontier only
-		Seqd{Ver: 3, Seq: 12, Origin: px, PubID: 7, Body: []byte("set k v")},
 		AckSeq{Ver: 3, Seq: 12},
 		AckSeq{},
 		Stable{Ver: 3, Seq: 9},
@@ -49,17 +51,14 @@ func wirePayloads() []any {
 	}
 }
 
-// TestBroadcastWireRoundTrip: every broadcast payload travels the binary
-// fast path (no gob fallback) and round-trips structurally intact.
+// TestBroadcastWireRoundTrip: every broadcast payload round-trips through
+// the binary codec structurally intact.
 func TestBroadcastWireRoundTrip(t *testing.T) {
 	for _, payload := range wirePayloads() {
 		in := transport.Frame{From: "p1", To: "p3#2", Seq: 5, MsgID: 0, Body: payload}
 		blob, err := transport.EncodeFrame(in)
 		if err != nil {
 			t.Fatalf("%T: encode: %v", payload, err)
-		}
-		if blob[0] == 0 {
-			t.Errorf("%T: fell back to the gob escape hatch; broadcast payloads must have binary codecs", payload)
 		}
 		out, err := transport.DecodeFrame(blob)
 		if err != nil {
@@ -71,21 +70,25 @@ func TestBroadcastWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBroadcastWireRoundTripGob: the kind-0 escape hatch carries the same
-// vocabulary (transports without the binary fast path stay compatible).
-func TestBroadcastWireRoundTripGob(t *testing.T) {
-	for _, payload := range wirePayloads() {
-		in := transport.Frame{From: "p1", To: "p2", Seq: 1, MsgID: 0, Body: payload}
-		blob, err := transport.EncodeFrameGob(in)
+// TestRetiredKindsRejected: kinds 18 and 19 carried the unbatched Pub
+// and Seqd frames. They stay unassigned, so such a frame fails to decode
+// on the datagram path and the stream path alike.
+func TestRetiredKindsRejected(t *testing.T) {
+	for _, h := range []string{
+		"12027031027032030002703200070178",     // Pub{p2, PubID 7, "x"}
+		"130270310270320400010202703200070178", // Seqd{Ver 1, Seq 2, p2, PubID 7, "x"}
+	} {
+		body, err := hex.DecodeString(h)
 		if err != nil {
-			t.Fatalf("%T: gob encode: %v", payload, err)
+			t.Fatal(err)
 		}
-		out, err := transport.DecodeFrame(blob)
-		if err != nil {
-			t.Fatalf("%T: decode: %v", payload, err)
+		want := fmt.Sprintf("unknown payload kind %d", body[0])
+		if f, err := transport.DecodeFrame(body); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("datagram %s: got %#v, %v; want %q", h, f, err, want)
 		}
-		if !wireEqual(in, out) {
-			t.Errorf("%T: gob round trip\n in: %#v\nout: %#v", payload, in, out)
+		stream := append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+		if f, err := transport.ReadFrame(bytes.NewReader(stream)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("stream %s: got %#v, %v; want %q", h, f, err, want)
 		}
 	}
 }
@@ -99,12 +102,6 @@ func wireEqual(a, b transport.Frame) bool {
 
 func normalize(f transport.Frame) transport.Frame {
 	switch v := f.Body.(type) {
-	case Pub:
-		v.Body = unempty(v.Body)
-		f.Body = v
-	case Seqd:
-		v.Body = unempty(v.Body)
-		f.Body = v
 	case PubBatch:
 		if len(v.Pubs) == 0 {
 			v.Pubs = nil

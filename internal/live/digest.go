@@ -37,7 +37,6 @@ func (SuspicionDigest) MsgLabel() string { return "SuspicionDigest" }
 const digestKind = 17
 
 func init() {
-	transport.RegisterPayload(SuspicionDigest{}) // gob escape hatch
 	// The digest is a beacon (it rides the datagram plane at cadence and
 	// doubles as liveness evidence) but Volatile — its entries change
 	// between sends, so the per-channel beacon byte caches must not

@@ -28,7 +28,6 @@ func (Heartbeat) MsgLabel() string { return "Heartbeat" }
 const heartbeatKind = 16
 
 func init() {
-	transport.RegisterPayload(Heartbeat{})                      // gob escape hatch
 	transport.RegisterBeaconPayload(heartbeatKind, Heartbeat{}) // zero-alloc wire fast path
 }
 

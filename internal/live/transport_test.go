@@ -260,7 +260,7 @@ type testBulk struct{}
 
 func (testBulk) SubstrateTraffic() {}
 
-func init() { transport.RegisterPayload(testBulk{}) }
+func init() { transport.RegisterEmptyPayload(200, testBulk{}) }
 
 // TestHeartbeatGoldenWireFormat pins the beacon's kind tag and layout:
 // the zero-allocation fast path depends on this exact encoding.

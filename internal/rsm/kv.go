@@ -93,7 +93,7 @@ func (k *KV) ReadLocal(cmd []byte) ([]byte, bool) {
 // Snapshot implements StateMachine on the repo's binary wire codec:
 // uvarint entry count, then per entry a length-prefixed key and value.
 // ViewSync snapshots grow with KV size, so this rides the same compact
-// primitives as every other hot-path frame instead of gob.
+// primitives as every other hot-path frame.
 func (k *KV) Snapshot() []byte {
 	var e transport.Encoder
 	e.Uvarint(uint64(len(k.m)))

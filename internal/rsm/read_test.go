@@ -231,9 +231,11 @@ func TestJoinerLocalReadBeforeSyncSeesSnapshot(t *testing.T) {
 			return
 		case f := <-ln.sent:
 			// Play the sequencer for a read that fell back to the order.
-			if p, ok := f.(broadcast.Pub); ok {
+			if pb, ok := f.(broadcast.PubBatch); ok {
+				p := pb.Pubs[0]
 				ln.Run(func() {
-					h.HandleApp(seq, broadcast.Seqd{Ver: 1, Seq: 1, Origin: self, PubID: p.PubID, Body: p.Body})
+					h.HandleApp(seq, broadcast.SeqdBatch{Ver: 1, FirstSeq: 1,
+						Entries: []broadcast.SeqdItem{{Origin: self, PubID: p.PubID, Body: p.Body}}})
 					h.HandleApp(seq, broadcast.Stable{Ver: 1, Seq: 1})
 				})
 			}

@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
@@ -24,7 +22,7 @@ type Frame struct {
 	To    string // ids.ProcID.String() of the destination
 	Seq   uint64 // per-channel mux sequence (0 = unsequenced, e.g. beacons)
 	MsgID int64
-	Body  any // a registered protocol payload
+	Body  any // a payload type with a registered binary codec
 }
 
 // maxFrame bounds a decoded frame; protocol messages are tiny (a view's
@@ -35,10 +33,8 @@ const maxFrame = 1 << 20
 // Wire format (the 4-byte big-endian length prefix of WriteFrame/ReadFrame
 // is outside this layout):
 //
-//	byte 0:  payload kind tag
-//	kind 0:  the rest is a self-contained gob blob of the whole Frame —
-//	         the escape hatch for payload types with no binary codec.
-//	kind>0:  uvarint-len From | uvarint-len To | uvarint Seq |
+//	byte 0:  payload kind tag (never 0: kind 0 decodes as unknown)
+//	then:    uvarint-len From | uvarint-len To | uvarint Seq |
 //	         varint MsgID | kind-specific payload fields
 //
 // Strings are uvarint length + raw bytes; process identifiers inside
@@ -46,7 +42,7 @@ const maxFrame = 1 << 20
 // zigzag varints; slices are uvarint count + elements (count 0 decodes to
 // nil). The golden-bytes test in codec_test.go pins this layout.
 const (
-	kindGob byte = iota // gob escape hatch
+	_ byte = iota // kind 0 is never assigned
 	kindInvite
 	kindOK
 	kindCommit
@@ -61,25 +57,9 @@ const (
 	kindMuxHello // transport-internal: announces a mux connection's pair
 )
 
-// Substrate layers register their own payloads at kinds ≥ 16; 0–15 are
-// reserved for the closed core vocabulary and transport bookkeeping.
-
-// RegisterPayload makes a concrete payload type encodable inside a Frame
-// through the kind-0 gob escape hatch. The core vocabulary additionally
-// has hand-rolled binary codecs (below); payload types registered only
-// here still travel, paying the gob tax per frame.
-func RegisterPayload(v any) { gob.Register(v) }
-
-func init() {
-	for _, v := range []any{
-		core.Invite{}, core.OK{}, core.Commit{},
-		core.Interrogate{}, core.InterrogateOK{},
-		core.Propose{}, core.ProposeOK{}, core.ReconfCommit{},
-		core.FaultyReport{}, core.JoinRequest{}, core.StateTransfer{},
-	} {
-		RegisterPayload(v)
-	}
-}
+// Substrate layers register their own payloads at kinds ≥ 16; 1–15 are
+// reserved for the closed core vocabulary and transport bookkeeping, and
+// kinds ≥ 200 for tests and benchmarks.
 
 // --- Binary payload registry -------------------------------------------------
 
@@ -133,8 +113,8 @@ var binReg = struct {
 }{}
 
 func registerBinary(kind byte, proto any, enc func(*Encoder, any), dec func(*Decoder) any, empty bool, class PayloadClass) {
-	if kind == kindGob {
-		panic("transport: kind 0 is the gob escape hatch")
+	if kind == 0 {
+		panic("transport: kind 0 is never assigned")
 	}
 	c := &payloadCodec{
 		kind: kind, typ: reflect.TypeOf(proto), empty: empty,
@@ -450,16 +430,11 @@ func prealloc(n int) int {
 var encBufs = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
 // AppendFrame appends f's wire encoding to dst and returns the extended
-// slice. Payload types with a binary codec use it; everything else falls
-// back to the kind-0 gob escape hatch.
+// slice. A payload type with no registered binary codec is an error.
 func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 	c := binCodecFor(f.Body)
 	if c == nil {
-		blob, err := EncodeFrameGob(f)
-		if err != nil {
-			return nil, err
-		}
-		return append(dst, blob...), nil
+		return nil, fmt.Errorf("transport: no binary codec for payload type %T", f.Body)
 	}
 	e := Encoder{b: dst}
 	e.Byte(c.kind)
@@ -489,19 +464,6 @@ func EncodeFrame(f Frame) ([]byte, error) {
 	return out, nil
 }
 
-// EncodeFrameGob forces the kind-0 escape hatch: one self-contained gob
-// blob per frame, re-carrying its type wiring every time. Unregistered
-// payload types take this path automatically; it is exported as the
-// baseline arm of the codec benchmarks.
-func EncodeFrameGob(f Frame) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteByte(kindGob)
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-		return nil, fmt.Errorf("transport: encode frame: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
 // DecodeFrame parses a blob produced by AppendFrame/EncodeFrame.
 func DecodeFrame(b []byte) (Frame, error) {
 	var d Decoder
@@ -514,13 +476,6 @@ func decodeFrame(d *Decoder) (Frame, error) {
 		return Frame{}, fmt.Errorf("transport: decode empty frame")
 	}
 	kind := d.Byte()
-	if kind == kindGob {
-		var f Frame
-		if err := gob.NewDecoder(bytes.NewReader(d.b[d.off:])).Decode(&f); err != nil {
-			return Frame{}, fmt.Errorf("transport: decode frame: %w", err)
-		}
-		return f, nil
-	}
 	c := binCodecByKind(kind)
 	if c == nil {
 		return Frame{}, fmt.Errorf("transport: unknown payload kind %d", kind)

@@ -2,8 +2,11 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"procgroup/internal/core"
@@ -49,9 +52,6 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%T: encode: %v", payload, err)
 		}
-		if blob[0] == 0 {
-			t.Errorf("%T: fell back to the gob escape hatch; core payloads must have binary codecs", payload)
-		}
 		out, err := DecodeFrame(blob)
 		if err != nil {
 			t.Fatalf("%T: decode: %v", payload, err)
@@ -62,50 +62,58 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrameRoundTripGob proves codec equivalence: the kind-0 escape hatch
-// carries the same vocabulary to the same decoded frames.
-func TestFrameRoundTripGob(t *testing.T) {
-	for _, payload := range testPayloads() {
-		in := Frame{From: "p1", To: "p3#2", Seq: 9, MsgID: 42, Body: payload}
-		blob, err := EncodeFrameGob(in)
-		if err != nil {
-			t.Fatalf("%T: gob encode: %v", payload, err)
-		}
-		if blob[0] != 0 {
-			t.Fatalf("%T: gob arm must carry kind tag 0, got %d", payload, blob[0])
-		}
-		out, err := DecodeFrame(blob)
-		if err != nil {
-			t.Fatalf("%T: decode: %v", payload, err)
-		}
-		if !reflect.DeepEqual(in, out) {
-			t.Errorf("%T: gob round trip\n in: %#v\nout: %#v", payload, in, out)
-		}
-	}
+// textPayload is a test payload with one variable-length field.
+type textPayload struct{ S string }
+
+func init() {
+	RegisterBinaryPayload(203, textPayload{},
+		func(e *Encoder, v any) { e.String(v.(textPayload).S) },
+		func(d *Decoder) any { return textPayload{S: d.String()} })
 }
 
-// gobOnlyPayload has no binary codec; it must travel via the escape hatch.
-type gobOnlyPayload struct{ S string }
+// unregisteredPayload has no binary codec.
+type unregisteredPayload struct{ S string }
 
-func init() { RegisterPayload(gobOnlyPayload{}) }
+// legacyGobFrame is Frame{From: "a", To: "b", MsgID: 1, Body: a one-string
+// struct} as the retired kind-0 gob escape hatch encoded it. It must now
+// be rejected like any other unknown kind.
+var legacyGobFrame = mustHex("003d7f030101054672616d6501ff80000105010446726f6d010c000102546f010c00010353657101060001054d736749440104000104426f6479011000000059ff800101610101620202012b70726f6367726f75702f696e7465726e616c2f7472616e73706f72742e676f624f6e6c795061796c6f6164ff810301010e676f624f6e6c795061796c6f616401ff82000101010153010c00000008ff82040101780000")
 
-// TestUnregisteredPayloadFallsBackToGob: payload types without a binary
-// codec still travel, tagged kind 0.
-func TestUnregisteredPayloadFallsBackToGob(t *testing.T) {
-	in := Frame{From: "a", To: "b", MsgID: 1, Body: gobOnlyPayload{S: "x"}}
-	blob, err := EncodeFrame(in)
+func mustHex(s string) []byte {
+	b, err := hex.DecodeString(s)
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	if blob[0] != 0 {
-		t.Fatalf("unregistered payload got kind %d, want the gob escape hatch", blob[0])
+	return b
+}
+
+// TestUnregisteredPayloadRejected: the binary codec is the only encoding.
+// A payload type with no codec does not encode, and a kind-0 frame (the
+// tag no codec holds) does not decode, on the stream and the datagram
+// path alike.
+func TestUnregisteredPayloadRejected(t *testing.T) {
+	in := Frame{From: "a", To: "b", MsgID: 1, Body: unregisteredPayload{S: "x"}}
+	if blob, err := EncodeFrame(in); err == nil {
+		t.Fatalf("unregistered payload encoded to %x", blob)
 	}
-	out, err := DecodeFrame(blob)
-	if err != nil {
-		t.Fatal(err)
+	if err := WriteFrame(io.Discard, in); err == nil {
+		t.Fatal("unregistered payload written to a stream")
 	}
-	if !reflect.DeepEqual(in, out) {
-		t.Errorf("gob fallback round trip\n in: %#v\nout: %#v", in, out)
+	if _, err := AppendFrame(nil, in); err == nil {
+		t.Fatal("unregistered payload appended")
+	}
+	for _, body := range [][]byte{
+		{0},                       // bare kind tag
+		{0, 1, 'a', 1, 'b', 0, 2}, // kind 0 with a well-formed header
+		legacyGobFrame,
+	} {
+		if f, err := DecodeFrame(body); err == nil || !strings.Contains(err.Error(), "unknown payload kind 0") {
+			t.Errorf("datagram %x: got %#v, %v; want an unknown-kind error", body, f, err)
+		}
+		stream := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
+		if f, err := ReadFrame(bytes.NewReader(append(stream, body...))); err == nil || !strings.Contains(err.Error(), "unknown payload kind 0") {
+			t.Errorf("stream %x: got %#v, %v; want an unknown-kind error", body, f, err)
+		}
 	}
 }
 

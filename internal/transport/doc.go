@@ -47,7 +47,9 @@
 // The wire codec (Frame, AppendFrame / EncodeFrame / ReadFrame /
 // DecodeFrame) is a hand-rolled binary format — length-prefixed on
 // streams, bare frame body per datagram — covering the whole
-// internal/core wire vocabulary plus registered substrate beacons, with
-// a gob escape hatch for everything else; the format is pinned
-// byte-for-byte by golden tests (DESIGN.md §6).
+// internal/core wire vocabulary plus the payloads substrate layers
+// register. It is the only encoding: a payload type with no registered
+// codec is a send-side drop, and an unknown kind tag (kind 0 included)
+// is a decode error. The format is pinned byte-for-byte by golden tests
+// (DESIGN.md §6).
 package transport

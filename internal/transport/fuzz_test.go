@@ -13,11 +13,12 @@ import (
 // FuzzReadFrame hammers the stream decode path with truncated, corrupted
 // and adversarial input: whatever arrives, ReadFrame must return a frame
 // or an error — never panic, never over-allocate past maxFrame. Valid
-// decodes must re-encode, proving the decoded value is inside the codec's
-// domain.
+// decodes must carry a Body and re-encode, proving the decoded value is
+// inside the codec's domain.
 //
-// The seed corpus is built from real encodings (binary and gob arms) so
-// mutation starts from structurally plausible bytes.
+// The seed corpus is built from real encodings so mutation starts from
+// structurally plausible bytes, plus retired encodings (the kind-0 gob
+// blob, kind-18 Pub and kind-19 Seqd frames) that must be rejected.
 func FuzzReadFrame(f *testing.F) {
 	seed := func(fr Frame) {
 		blob, err := EncodeFrame(fr)
@@ -43,7 +44,14 @@ func FuzzReadFrame(f *testing.F) {
 	seed(Frame{From: "p2", To: "p1", Seq: 4, MsgID: 7, Body: core.InterrogateOK{
 		Ver: 2, Seq: member.Seq{member.Remove(p3)}, Next: member.Next{member.WildcardFor(ids.Named("p2"))},
 	}})
-	seed(Frame{From: "a", To: "b", MsgID: 1, Body: gobOnlyPayload{S: "x"}})
+	seed(Frame{From: "a", To: "b", MsgID: 1, Body: textPayload{S: "x"}})
+	for _, body := range retiredFrames() {
+		stream := append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+		if fr, err := ReadFrame(bytes.NewReader(stream)); err == nil {
+			f.Fatalf("retired frame %x decoded to %#v", body, fr)
+		}
+		f.Add(stream)
+	}
 	f.Add([]byte{0x00, 0x00, 0x00, 0x02, 0xfe, 0x01}) // unknown kind
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})             // oversized length
 	{                                                 // hostile 64-bit slice count (would wrap a multiplicative bound)
@@ -61,10 +69,11 @@ func FuzzReadFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := ReadFrame(bytes.NewReader(data))
-		if err != nil || fr.Body == nil {
-			// Errors are expected on corrupt input; a nil Body can fall
-			// out of a mutated gob blob and is unencodable by design.
-			return
+		if err != nil {
+			return // expected on corrupt input
+		}
+		if fr.Body == nil {
+			t.Fatalf("decoded frame has no body: %#v", fr)
 		}
 		if _, err := EncodeFrame(fr); err != nil {
 			t.Fatalf("decoded frame does not re-encode: %v (%#v)", err, fr)
@@ -95,7 +104,13 @@ func FuzzReadDatagram(f *testing.F) {
 	seed(Frame{From: "p1", To: "p3#2", MsgID: 5, Body: core.Commit{
 		Op: member.Remove(p3), Ver: 4, Faulty: []ids.ProcID{p3},
 	}})
-	seed(Frame{From: "a", To: "b", MsgID: 1, Body: gobOnlyPayload{S: "x"}})
+	seed(Frame{From: "a", To: "b", MsgID: 1, Body: textPayload{S: "x"}})
+	for _, body := range retiredFrames() {
+		if fr, err := DecodeFrame(body); err == nil {
+			f.Fatalf("retired frame %x decoded to %#v", body, fr)
+		}
+		f.Add(body)
+	}
 	f.Add([]byte{})           // zero-length datagram
 	f.Add([]byte{0xfe, 0x01}) // unknown kind
 	{                         // hostile 64-bit slice count (would wrap a multiplicative bound)
@@ -111,11 +126,25 @@ func FuzzReadDatagram(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := DecodeFrame(data)
-		if err != nil || fr.Body == nil {
+		if err != nil {
 			return
+		}
+		if fr.Body == nil {
+			t.Fatalf("decoded datagram has no body: %#v", fr)
 		}
 		if _, err := EncodeFrame(fr); err != nil {
 			t.Fatalf("decoded datagram does not re-encode: %v (%#v)", err, fr)
 		}
 	})
+}
+
+// retiredFrames are frame bodies of encodings the wire no longer has: the
+// kind-0 gob escape hatch, and the unbatched broadcast Pub (kind 18) and
+// Seqd (kind 19). Every decode path must reject them.
+func retiredFrames() [][]byte {
+	return [][]byte{
+		legacyGobFrame,
+		mustHex("12027031027032030002703200070178"),     // Pub{p2, PubID 7, "x"}
+		mustHex("130270310270320400010202703200070178"), // Seqd{Ver 1, Seq 2, p2, PubID 7, "x"}
+	}
 }

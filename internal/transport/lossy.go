@@ -240,6 +240,7 @@ func (t *Lossy) Send(from, to ids.ProcID, m Message) {
 	t.stats.noteSend(m.Payload)
 	body, err := EncodeFrame(Frame{From: from.String(), To: to.String(), MsgID: m.MsgID, Body: m.Payload})
 	if err != nil {
+		t.stats.drop(dropWriteFailed)
 		return
 	}
 	t.mu.Lock()

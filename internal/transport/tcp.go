@@ -393,9 +393,10 @@ func (t *TCP) readConn(c net.Conn, ep *tcpEndpoint, m *pairMux) {
 			t.stats.drop(dropDecodeFailed)
 			break
 		}
-		if len(shards) == 0 {
-			// Single-core path: decode and route inline — the frame stays
-			// on this goroutine's stack.
+		// The single-core path decodes and routes inline, the frame
+		// staying on this goroutine's stack. Hellos decode inline even
+		// with shards: a hello must adopt before later frames dispatch.
+		if len(shards) == 0 || body[0] == kindMuxHello {
 			fr.dec.reset(body)
 			f, err := decodeFrame(&fr.dec)
 			if err != nil {
@@ -413,33 +414,6 @@ func (t *TCP) readConn(c net.Conn, ep *tcpEndpoint, m *pairMux) {
 				continue
 			}
 			t.route(f, rs)
-			continue
-		}
-		// Hellos and gob frames decode inline even with shards: a hello
-		// must adopt before later frames dispatch, and a gob body's
-		// channel cannot be found without decoding it. A decoded gob
-		// frame still rides its channel's shard queue so it cannot
-		// reorder against binary frames of the same channel.
-		if body[0] == kindMuxHello || body[0] == kindGob {
-			fr.dec.reset(body)
-			f := new(Frame) // escapes by design: it may be handed to a shard
-			*f, err = decodeFrame(&fr.dec)
-			if err != nil {
-				t.stats.drop(dropDecodeFailed)
-				break
-			}
-			if _, hello := f.Body.(muxHello); hello {
-				mm, keep := t.adopt(*f, c)
-				if !keep {
-					break
-				}
-				if mm != nil {
-					m = mm
-				}
-				continue
-			}
-			idx := int(fnvStrings(f.From, f.To) % uint32(len(shards)))
-			shards[idx].ch <- shardItem{f: f, rs: states[idx], conn: c}
 			continue
 		}
 		h, ok := chanShard(body)
@@ -468,13 +442,11 @@ type readShard struct {
 	ch chan shardItem
 }
 
-// shardItem is one inbound frame in flight to its decode shard: either a
-// raw pooled body, or (gob frames) an already-decoded frame that only
-// needs routing. rs is the dispatching connection's routing state for
-// this shard; conn lets the worker kill the stream on decode failure.
+// shardItem is one inbound frame in flight to its decode shard: a raw
+// pooled body. rs is the dispatching connection's routing state for this
+// shard; conn lets the worker kill the stream on decode failure.
 type shardItem struct {
 	body *[]byte
-	f    *Frame
 	rs   *routeState
 	conn net.Conn
 }
@@ -489,10 +461,6 @@ func (t *TCP) runShard(sh *readShard) {
 	var d Decoder
 	d.intern = make(map[string]string)
 	for it := range sh.ch {
-		if it.f != nil {
-			t.route(*it.f, it.rs)
-			continue
-		}
 		d.reset(*it.body)
 		f, err := decodeFrame(&d)
 		shardBufs.Put(it.body)
@@ -527,19 +495,6 @@ func chanShard(body []byte) (uint32, bool) {
 		off += int(n)
 	}
 	return h, true
-}
-
-// fnvStrings hashes from and to exactly as chanShard hashes their wire
-// bytes, so pre-decoded frames land in the same shard as binary ones.
-func fnvStrings(from, to string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(from); i++ {
-		h = (h ^ uint32(from[i])) * 16777619
-	}
-	for i := 0; i < len(to); i++ {
-		h = (h ^ uint32(to[i])) * 16777619
-	}
-	return h
 }
 
 // routeState caches one inbound goroutine's routing lookups so the

@@ -52,7 +52,11 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, what string) {
 // fifoPayload is a minimal registered payload for ordering tests.
 type fifoPayload struct{ N int }
 
-func init() { RegisterPayload(fifoPayload{}) }
+func init() {
+	RegisterBinaryPayload(201, fifoPayload{},
+		func(e *Encoder, v any) { e.Varint(int64(v.(fifoPayload).N)) },
+		func(d *Decoder) any { return fifoPayload{N: int(d.Varint())} })
+}
 
 // checkFIFO sends n messages on one channel and asserts ordered,
 // exactly-once delivery — the §2.1 channel property every Transport must
@@ -132,6 +136,45 @@ func TestSendToUnknownIsDropped(t *testing.T) {
 	}
 }
 
+// TestUnregisteredPayloadDropped: a payload with no binary codec cannot
+// cross a wire. Every encoding transport counts the send as a
+// write-failed drop, delivers nothing for it, does not panic, and still
+// carries the channel's next frame.
+func TestUnregisteredPayloadDropped(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tr   Transport
+	}{
+		{"tcp", NewTCP()},
+		{"udp", NewUDP()},
+		{"lossy", NewLossy(LossyOptions{})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer tc.tr.Close()
+			a, b := ids.Named("a"), ids.Named("b")
+			var s sink
+			if err := tc.tr.Register(a, func(ids.ProcID, Message) {}); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.tr.Register(b, s.handler); err != nil {
+				t.Fatal(err)
+			}
+			tc.tr.Send(a, b, Message{MsgID: 1, Payload: unregisteredPayload{S: "x"}})
+			tc.tr.Send(a, b, Message{MsgID: 2, Payload: fifoPayload{N: 2}})
+			waitFor(t, 10*time.Second, func() bool { return s.len() >= 1 }, "the frame behind the dropped one")
+			if got := tc.tr.Stats().WriteFailed; got != 1 {
+				t.Errorf("WriteFailed = %d, want 1", got)
+			}
+			if n := s.len(); n != 1 {
+				t.Fatalf("delivered %d frames, want 1", n)
+			}
+			if m := s.msg(0); m.MsgID != 2 {
+				t.Errorf("delivered %#v, want only the registered frame", m)
+			}
+		})
+	}
+}
+
 // TestDuplicateRegistrationFails on every implementation.
 func TestDuplicateRegistrationFails(t *testing.T) {
 	for _, tc := range []struct {
@@ -194,7 +237,6 @@ func TestTCPUnregisterDropsThenReconnect(t *testing.T) {
 // TestTCPHeartbeatStyleTraffic mixes protocol payloads with MsgID-0
 // beacons, as the live runtime does.
 func TestTCPHeartbeatStyleTraffic(t *testing.T) {
-	RegisterPayload(beacon{})
 	tr := NewTCP()
 	defer tr.Close()
 	a, b := ids.Named("a"), ids.Named("b")
@@ -212,7 +254,11 @@ func TestTCPHeartbeatStyleTraffic(t *testing.T) {
 	waitFor(t, 10*time.Second, func() bool { return s.len() == 40 }, "all traffic")
 }
 
+// beacon is a fieldless MsgID-0 payload without the beacon class, so
+// every send is delivered: none coalesce.
 type beacon struct{}
+
+func init() { RegisterEmptyPayload(202, beacon{}) }
 
 // TestCloseIsIdempotent on every implementation.
 func TestCloseIsIdempotent(t *testing.T) {
@@ -477,10 +523,9 @@ func TestLossyStatsCountUnknownPeer(t *testing.T) {
 
 // TestTCPShardedReaderFIFO forces the multi-core decode fan-out (inert
 // on a single-core box, where NewTCP skips the pool) and re-proves the
-// §2.1 per-channel FIFO across it, on both codec paths: gob frames
-// decode inline but ride their channel's shard queue, binary frames are
-// hashed to a shard pre-decode. One channel must always map to one
-// shard or ordering dies.
+// §2.1 per-channel FIFO across it on two channels: frames are hashed to
+// a shard pre-decode, and one channel must always map to one shard or
+// ordering dies.
 func TestTCPShardedReaderFIFO(t *testing.T) {
 	oldShards := tcpReadShards
 	tcpReadShards = 4
@@ -490,9 +535,9 @@ func TestTCPShardedReaderFIFO(t *testing.T) {
 	if len(tr.shards) != 4 {
 		t.Fatalf("shard pool size %d, want 4", len(tr.shards))
 	}
-	checkFIFO(t, tr, 500, 10*time.Second) // gob-payload arm
+	checkFIFO(t, tr, 500, 10*time.Second)
 
-	// Binary-payload arm: core.OK frames carry mux sequences through the
+	// Second channel: core.OK frames carry mux sequences through the same
 	// pre-decode hash path.
 	a, b := ids.Named("x"), ids.Named("y")
 	var s sink

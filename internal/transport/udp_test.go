@@ -108,7 +108,7 @@ func TestUDPOversizeSendCountsTruncated(t *testing.T) {
 	if err := tr.Register(b, s.handler); err != nil {
 		t.Fatal(err)
 	}
-	tr.Send(a, b, Message{MsgID: 1, Payload: gobOnlyPayload{S: strings.Repeat("x", maxDatagram+1)}})
+	tr.Send(a, b, Message{MsgID: 1, Payload: textPayload{S: strings.Repeat("x", maxDatagram+1)}})
 	if got := tr.Stats().Truncated; got != 1 {
 		t.Errorf("Truncated = %d, want 1", got)
 	}
@@ -224,8 +224,8 @@ func (p *planeCounter) count() int64 {
 }
 
 // TestTwoPlaneRoutesByTrafficClass: pure beacons take the beacon plane;
-// protocol frames, gob payloads, and beacon payloads with a MsgID take
-// the stream plane.
+// protocol frames and beacon payloads with a MsgID take the stream
+// plane.
 func TestTwoPlaneRoutesByTrafficClass(t *testing.T) {
 	stream := &planeCounter{Transport: NewInmem()}
 	beacon := &planeCounter{Transport: NewInmem()}
@@ -241,7 +241,7 @@ func TestTwoPlaneRoutesByTrafficClass(t *testing.T) {
 	}
 	tp.Send(a, b, Message{Payload: hb{}})                    // pure beacon → beacon plane
 	tp.Send(a, b, Message{MsgID: 1, Payload: hb{}})          // recorded send → stream plane
-	tp.Send(a, b, Message{MsgID: 2, Payload: fifoPayload{}}) // gob protocol traffic → stream plane
+	tp.Send(a, b, Message{MsgID: 2, Payload: fifoPayload{}}) // protocol traffic → stream plane
 	if got := beacon.count(); got != 1 {
 		t.Errorf("beacon plane carried %d frames, want 1", got)
 	}

@@ -35,12 +35,13 @@ type (
 	// proposals coalesce into one frame, the sequencer assigns contiguous
 	// slot ranges, and stability piggybacks on the fan-out. Queues flush
 	// at a size cap, when the origin's pipeline drains, or at the end of
-	// the event-loop burst — never on a timer. MaxEntries ≤ 1 is the
-	// unbatched legacy wire.
+	// the event-loop burst — never on a timer. The zero value is the
+	// default, 128 entries and 256 KiB per batch; MaxEntries 1 ships
+	// every proposal in a batch of its own.
 	BatchConfig = broadcast.BatchConfig
 	// AckConfig coalesces the members' cumulative delivery acks: one ack
-	// per Every entries, plus one for any remainder at the end of the
-	// event-loop burst, instead of one per entry.
+	// per Every entries (default 16), plus one for any remainder at the
+	// end of the event-loop burst, instead of one per entry.
 	AckConfig = broadcast.AckConfig
 	// ReadConcern selects a Read's path: ReadLocal (stability-fenced local
 	// execution) or ReadLinearizable (sequenced through total order).
@@ -92,9 +93,9 @@ func NewReplicatedKV() *ReplicaSet {
 	return NewReplicaSet(func() StateMachine { return rsm.NewKV() })
 }
 
-// WithBatching sets the group-commit configuration applied to every
-// replica spawned after the call (DESIGN.md §12). Call before StartGroup;
-// returns the set for chaining.
+// WithBatching overrides the group-commit configuration applied to every
+// replica spawned after the call (DESIGN.md §12); without it replicas run
+// the defaults. Call before StartGroup; returns the set for chaining.
 func (s *ReplicaSet) WithBatching(batch BatchConfig, ack AckConfig) *ReplicaSet {
 	s.batch, s.ack = batch, ack
 	return s
