@@ -25,8 +25,7 @@
 //     (NewUDPTransport), the two-plane wire that keeps beacons on UDP
 //     and protocol traffic on a stream (NewUDPBeaconTransport — the
 //     failure detector's samples can no longer queue behind bulk data),
-//     a lossy datagram link repaired by the alternating-bit protocol
-//     (NewLossyTransport), or any of those degraded by the chaos harness
+//     or any of those degraded by the chaos harness
 //     (NewChaosTransport — per-link delay, jitter, beacon loss, burst
 //     outages, asymmetric partitions).
 //

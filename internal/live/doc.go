@@ -1,7 +1,7 @@
 // Package live runs the GMP protocol on real goroutines with real time:
 // one goroutine per process, a pluggable transport (in-memory by default;
-// TCP sockets, a lossy ABP-repaired datagram link, or a chaos-degraded
-// wrapper via Options.Transport), and a pluggable failure detector
+// TCP sockets, a UDP beacon plane, or a chaos-degraded wrapper via
+// Options.Transport), and a pluggable failure detector
 // implementing F1 (§2.2) — the deployment shape the paper targets ("a
 // constant flow of requests … which is exactly what occurs in actual
 // systems"). The protocol code is the same internal/core state machine

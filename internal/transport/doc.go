@@ -9,8 +9,8 @@
 //   - TCP: real sockets on loopback or a LAN, one multiplexed
 //     length-prefixed binary stream per unordered peer pair
 //     (channel-tagged frames, per-channel FIFO queues drained by one
-//     writer into vectored batches, decoded by a channel-sharded reader
-//     pool), with reconnect — the paper's asynchronous network made
+//     writer into vectored batches, decoded inline by each connection's
+//     reader), with reconnect — the paper's asynchronous network made
 //     literal;
 //   - UDP: one datagram per frame — no ordering, no retransmission, no
 //     backpressure. The wrong contract for protocol traffic and exactly
@@ -22,10 +22,6 @@
 //     datagram plane and everything else to a stream plane, exposing the
 //     split via BeaconPlaner so the live runtime can send cadence-pure
 //     beacons;
-//   - Lossy: an adversarial datagram link (loss, duplication, delay)
-//     repaired by the alternating-bit protocol of internal/channel — the
-//     paper's §3 claim that reliable FIFO channels are implementable
-//     rather than assumed, demonstrated end-to-end;
 //   - Chaos: a wrapper that degrades any of the above — including UDP —
 //     with per-link delay, jitter, beacon loss, burst outages and
 //     asymmetric partitions, reconfigurable at runtime — the live chaos

@@ -95,27 +95,44 @@ func TestInmemFIFO(t *testing.T) {
 	checkFIFO(t, tr, 500, 2*time.Second)
 }
 
+// TestTCPFIFO proves the §2.1 per-channel FIFO on the stream transport
+// for two channels: a registered test payload, then core.OK frames whose
+// mux sequences the reader checks.
 func TestTCPFIFO(t *testing.T) {
 	tr := NewTCP()
 	defer tr.Close()
 	checkFIFO(t, tr, 500, 10*time.Second)
+
+	a, b := ids.Named("x"), ids.Named("y")
+	var s sink
+	if err := tr.Register(a, func(ids.ProcID, Message) {}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Register(b, s.handler); err != nil {
+		t.Fatal(err)
+	}
+	const n = 500
+	for i := 0; i < n; i++ {
+		tr.Send(a, b, Message{MsgID: int64(i + 1), Payload: core.OK{Ver: member.Version(i)}})
+	}
+	waitFor(t, 10*time.Second, func() bool { return s.len() >= n }, "core.OK frames")
+	if s.len() != n {
+		t.Fatalf("delivered %d core.OK frames, want exactly %d", s.len(), n)
+	}
+	for i := 0; i < n; i++ {
+		m := s.msg(i)
+		if m.MsgID != int64(i+1) {
+			t.Fatalf("position %d: got MsgID %d — FIFO violated", i, m.MsgID)
+		}
+		if ok, is := m.Payload.(core.OK); !is || ok.Ver != member.Version(i) {
+			t.Fatalf("position %d: payload %#v", i, m.Payload)
+		}
+	}
 }
 
-// TestLossyFIFO is the §3 demonstration in miniature: the link loses,
-// duplicates and delays datagrams, and the alternating-bit layer must
-// still deliver every payload exactly once, in order.
-func TestLossyFIFO(t *testing.T) {
-	tr := NewLossy(LossyOptions{
-		Loss: 0.15, Dup: 0.1,
-		MinDelay: time.Millisecond, MaxDelay: 3 * time.Millisecond,
-		RTO: 6 * time.Millisecond, Seed: 7,
-	})
-	defer tr.Close()
-	checkFIFO(t, tr, 120, 30*time.Second)
-}
-
-// TestSendToUnknownIsDropped: datagrams to unregistered ids vanish
-// silently on every implementation.
+// TestSendToUnknownIsDropped: a send to an unregistered id is counted as
+// exactly one UnknownPeer drop and delivered nowhere, on every
+// implementation. TCP counts it asynchronously, on the pair writer.
 func TestSendToUnknownIsDropped(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -123,15 +140,27 @@ func TestSendToUnknownIsDropped(t *testing.T) {
 	}{
 		{"inmem", NewInmem()},
 		{"tcp", NewTCP()},
-		{"lossy", NewLossy(LossyOptions{})},
+		{"udp", NewUDP()},
+		{"twoplane", NewTwoPlane(NewTCP(), NewUDP())},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer tc.tr.Close()
-			a := ids.Named("a")
-			if err := tc.tr.Register(a, func(ids.ProcID, Message) {}); err != nil {
+			a, b := ids.Named("a"), ids.Named("b")
+			var s sink
+			if err := tc.tr.Register(a, s.handler); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.tr.Register(b, s.handler); err != nil {
 				t.Fatal(err)
 			}
 			tc.tr.Send(a, ids.Named("ghost"), Message{MsgID: 1, Payload: fifoPayload{}})
+			waitFor(t, 5*time.Second, func() bool { return tc.tr.Stats().UnknownPeer >= 1 }, "unknown-peer drop")
+			if got := tc.tr.Stats().UnknownPeer; got != 1 {
+				t.Errorf("UnknownPeer = %d, want 1", got)
+			}
+			if n := s.len(); n != 0 {
+				t.Errorf("delivered %d messages, want none", n)
+			}
 		})
 	}
 }
@@ -147,7 +176,6 @@ func TestUnregisteredPayloadDropped(t *testing.T) {
 	}{
 		{"tcp", NewTCP()},
 		{"udp", NewUDP()},
-		{"lossy", NewLossy(LossyOptions{})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer tc.tr.Close()
@@ -183,7 +211,6 @@ func TestDuplicateRegistrationFails(t *testing.T) {
 	}{
 		{"inmem", NewInmem()},
 		{"tcp", NewTCP()},
-		{"lossy", NewLossy(LossyOptions{})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer tc.tr.Close()
@@ -268,7 +295,6 @@ func TestCloseIsIdempotent(t *testing.T) {
 	}{
 		{"inmem", NewInmem()},
 		{"tcp", NewTCP()},
-		{"lossy", NewLossy(LossyOptions{})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a := ids.Named("a")
@@ -508,68 +534,10 @@ func TestInmemStats(t *testing.T) {
 	}
 }
 
-// TestLossyStatsCountUnknownPeer: datagrams in flight to an unregistered
-// destination are counted when they land.
-func TestLossyStatsCountUnknownPeer(t *testing.T) {
-	tr := NewLossy(LossyOptions{Loss: 0.0001, Dup: 0.0001})
-	defer tr.Close()
-	a := ids.Named("a")
-	if err := tr.Register(a, func(ids.ProcID, Message) {}); err != nil {
-		t.Fatal(err)
-	}
-	tr.Send(a, ids.Named("ghost"), Message{MsgID: 1, Payload: fifoPayload{}})
-	waitFor(t, 10*time.Second, func() bool { return tr.Stats().UnknownPeer >= 1 }, "unknown-peer drop")
-}
-
-// TestTCPShardedReaderFIFO forces the multi-core decode fan-out (inert
-// on a single-core box, where NewTCP skips the pool) and re-proves the
-// §2.1 per-channel FIFO across it on two channels: frames are hashed to
-// a shard pre-decode, and one channel must always map to one shard or
-// ordering dies.
-func TestTCPShardedReaderFIFO(t *testing.T) {
-	oldShards := tcpReadShards
-	tcpReadShards = 4
-	defer func() { tcpReadShards = oldShards }()
-	tr := NewTCP()
-	defer tr.Close()
-	if len(tr.shards) != 4 {
-		t.Fatalf("shard pool size %d, want 4", len(tr.shards))
-	}
-	checkFIFO(t, tr, 500, 10*time.Second)
-
-	// Second channel: core.OK frames carry mux sequences through the same
-	// pre-decode hash path.
-	a, b := ids.Named("x"), ids.Named("y")
-	var s sink
-	if err := tr.Register(a, func(ids.ProcID, Message) {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Register(b, s.handler); err != nil {
-		t.Fatal(err)
-	}
-	const n = 500
-	for i := 0; i < n; i++ {
-		tr.Send(a, b, Message{MsgID: int64(i + 1), Payload: core.OK{Ver: member.Version(i)}})
-	}
-	waitFor(t, 10*time.Second, func() bool { return s.len() >= n }, "binary frames")
-	if s.len() != n {
-		t.Fatalf("delivered %d binary frames, want exactly %d", s.len(), n)
-	}
-	for i := 0; i < n; i++ {
-		m := s.msg(i)
-		if m.MsgID != int64(i+1) {
-			t.Fatalf("position %d: got MsgID %d — FIFO violated across shards", i, m.MsgID)
-		}
-		if ok, is := m.Payload.(core.OK); !is || ok.Ver != member.Version(i) {
-			t.Fatalf("position %d: payload %#v", i, m.Payload)
-		}
-	}
-}
-
 // TestSendCloseRace hammers Send from several goroutines while Close runs
-// concurrently, on all three transports. The close path must be
-// race-clean (this test exists for -race) and must never panic or wedge a
-// sender.
+// concurrently, on every transport: inmem, TCP, chaos, UDP and two-plane.
+// The close path must be race-clean (this test exists for -race) and must
+// never panic or wedge a sender.
 func TestSendCloseRace(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -577,7 +545,6 @@ func TestSendCloseRace(t *testing.T) {
 	}{
 		{"inmem", func() Transport { return NewInmem() }},
 		{"tcp", func() Transport { return NewTCP() }},
-		{"lossy", func() Transport { return NewLossy(LossyOptions{}) }},
 		{"chaos", func() Transport {
 			return NewChaos(NewInmem(), ChaosOptions{Default: ChaosLink{Jitter: time.Millisecond, Loss: 0.1}})
 		}},
@@ -619,27 +586,6 @@ func TestSendCloseRace(t *testing.T) {
 			tr.Send(procs[0], procs[1], Message{MsgID: 1, Payload: fifoPayload{}}) // post-close send must not panic
 		})
 	}
-}
-
-// TestLossyInvertedDelayBoundsDoNotPanic: MaxDelay below MinDelay must be
-// clamped, not passed through to a negative randomness span.
-func TestLossyInvertedDelayBoundsDoNotPanic(t *testing.T) {
-	tr := NewLossy(LossyOptions{
-		MinDelay: 10 * time.Millisecond,
-		MaxDelay: 5 * time.Millisecond,
-		Loss:     0.01, Dup: 0.01,
-	})
-	defer tr.Close()
-	a, b := ids.Named("a"), ids.Named("b")
-	var s sink
-	if err := tr.Register(a, func(ids.ProcID, Message) {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Register(b, s.handler); err != nil {
-		t.Fatal(err)
-	}
-	tr.Send(a, b, Message{MsgID: 1, Payload: fifoPayload{N: 1}})
-	waitFor(t, 10*time.Second, func() bool { return s.len() == 1 }, "delivery with clamped bounds")
 }
 
 // TestBeaconCoalescingInQueue: beacons queued behind a stuck link

@@ -59,9 +59,6 @@ type (
 	// Built by NewUDPBeaconTransport (or NewTwoPlaneTransport for
 	// custom plane pairings).
 	TwoPlaneTransport = transport.TwoPlane
-	// LossyTransportOptions shapes the adversarial datagram link of
-	// NewLossyTransport.
-	LossyTransportOptions = transport.LossyOptions
 	// DetectorFactory selects a live group's failure-detection policy
 	// (F1, §2.2): set it on GroupOptions.Detector. Nil keeps the fixed
 	// SuspectAfter timeout.
@@ -154,12 +151,6 @@ func NewUDPBeaconTransport(stream Transport) *TwoPlaneTransport {
 func NewTwoPlaneTransport(stream, beacon Transport) *TwoPlaneTransport {
 	return transport.NewTwoPlane(stream, beacon)
 }
-
-// NewLossyTransport builds a transport whose links lose, duplicate and
-// delay datagrams, repaired per channel by the alternating-bit protocol —
-// the §3 claim that the reliable-FIFO channel assumption is implementable,
-// demonstrated under the live cluster.
-func NewLossyTransport(opts LossyTransportOptions) Transport { return transport.NewLossy(opts) }
 
 // NewFixedTimeoutDetector selects the classic fixed-threshold failure
 // detector: suspect a member once its silence exceeds after. This is the
