@@ -95,10 +95,18 @@ func TestInmemFIFO(t *testing.T) {
 	checkFIFO(t, tr, 500, 2*time.Second)
 }
 
-// TestTCPFIFO proves the §2.1 per-channel FIFO on the stream transport
-// for two channels: a registered test payload, then core.OK frames whose
-// mux sequences the reader checks.
 func TestTCPFIFO(t *testing.T) {
+	tr := NewTCP()
+	defer tr.Close()
+	checkFIFO(t, tr, 500, 10*time.Second)
+}
+
+// TestTCPShardedReaderFIFO proves the §2.1 per-channel FIFO through the
+// inline TCP reader on two channels: a registered test payload, then
+// core.OK frames whose mux sequences the reader checks. (The name dates
+// from the decode-shard pool the test used to force; decode now runs on
+// each connection's reader goroutine, and the FIFO contract is the same.)
+func TestTCPShardedReaderFIFO(t *testing.T) {
 	tr := NewTCP()
 	defer tr.Close()
 	checkFIFO(t, tr, 500, 10*time.Second)
